@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .eigenlists import EigenList, check_majorization, normalize_list, reduce_to_equality
+from .eigenlists import EigenList, check_majorization, reduce_to_equality
 from .errors import MajorantError
 from .horn import (
     HermitianMatrix,
@@ -88,10 +88,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _seed(args: argparse.Namespace) -> int:
     env = os.environ.get(SEED_ENV)
-    seed = int(env) if env is not None else int(args.seed)
-    if not 0 <= seed < 2**64:
-        raise MajorantError("seed must fit in an unsigned 64-bit integer")
-    return seed
+    try:
+        return int(env) if env is not None else int(args.seed)
+    except ValueError:
+        raise MajorantError(f"{SEED_ENV} must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,13 @@ DEFAULT_TOL = 1e-10
 MONOTONE_TOL = 1e-12
 
 
+def _readonly_copy(arr: np.ndarray) -> np.ndarray:
+    """Copy of ``arr`` that no caller can write to, for frozen value types."""
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def _to_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -51,9 +58,7 @@ class EigenList:
             raise InvalidInput("tolerance must be nonnegative")
         if arr.size > 1 and np.any(arr[:-1] < arr[1:] - self.tolerance):
             raise InvalidInput("list must be nonincreasing (use normalize_list to sort)")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _readonly_copy(arr))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -108,9 +113,7 @@ class MajorizationReport:
     trace_gap: float
 
     def __post_init__(self):
-        arr = np.asarray(self.slack, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "slack", arr)
+        object.__setattr__(self, "slack", _readonly_copy(np.asarray(self.slack, dtype=float)))
 
     def to_jsonable(self) -> dict:
         return {

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .eigenlists import DEFAULT_TOL, EigenList, ListLike, as_eigenlist, check_majorization
+from .eigenlists import DEFAULT_TOL, EigenList, ListLike, _readonly_copy, as_eigenlist, check_majorization
 from .errors import DistributionMismatch, InvalidInput, MajorizationViolation
 
 #: allowed deviation from exact self-adjointness
@@ -37,9 +37,7 @@ class HermitianMatrix:
             raise InvalidInput("matrix entries must be finite")
         if np.max(np.abs(arr - arr.conj().T)) > HERMITIAN_TOL:
             raise InvalidInput("matrix is not self-adjoint within tolerance")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _readonly_copy(arr))
 
     @property
     def dim(self) -> int:
@@ -58,17 +56,11 @@ class HermitianMatrix:
         return cls(np.diag(np.asarray(as_eigenlist(values).values, dtype=complex)))
 
     def to_jsonable(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.entries
-            ],
-        }
+        return matrix_to_jsonable(self.entries)
 
     @classmethod
     def from_jsonable(cls, data) -> "HermitianMatrix":
-        arr = matrix_from_jsonable(data)
-        return cls(arr)
+        return cls(matrix_from_jsonable(data))
 
 
 MatrixLike = Union[HermitianMatrix, Sequence, np.ndarray]
@@ -191,20 +183,14 @@ def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> l
     return chain
 
 
-def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.ndarray, HermitianMatrix]:
-    """Conjugate by the plane rotation realizing one mixing step.
+def _rotate(a: np.ndarray, transform: TTransform) -> np.ndarray:
+    """Conjugate ``a`` in place, rows and columns i and j only, by one mixing step.
 
-    Returns (U, U A U*) where U is unitary, equal to the identity except
-    in rows/columns i and j, and the diagonal of the result is the mixed
-    diagonal t*d + (1-t)*(d with entries i, j swapped).  The phase z is
-    unimodular with z * a_ij purely imaginary, which is exactly what
-    makes the cross terms drop out of the new diagonal.
+    Returns the 2 x 2 block of the rotation.  The phase z is unimodular
+    with z * a_ij purely imaginary, which is exactly what makes the
+    cross terms drop out of the new diagonal.
     """
-    A = as_hermitian(matrix)
     i, j, t = transform.i, transform.j, transform.t
-    if j >= A.dim:
-        raise InvalidInput("transposition index out of range for this matrix")
-    a = A.entries
     c = math.sqrt(t)
     s = math.sqrt(max(0.0, 1.0 - t))
     aij = a[i, j]
@@ -213,12 +199,26 @@ def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.nda
     else:
         z = 1j * np.conj(aij) / abs(aij)
     block = np.array([[z * c, s], [-z * s, c]], dtype=complex)
-    U = np.eye(A.dim, dtype=complex)
-    U[np.ix_([i, j], [i, j])] = block
-    result = a.copy()
     idx = [i, j]
-    result[idx, :] = block @ result[idx, :]
-    result[:, idx] = result[:, idx] @ block.conj().T
+    a[idx, :] = block @ a[idx, :]
+    a[:, idx] = a[:, idx] @ block.conj().T
+    return block
+
+
+def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.ndarray, HermitianMatrix]:
+    """Conjugate by the plane rotation realizing one mixing step.
+
+    Returns (U, U A U*) where U is unitary, equal to the identity except
+    in rows/columns i and j, and the diagonal of the result is the mixed
+    diagonal t*d + (1-t)*(d with entries i, j swapped).
+    """
+    A = as_hermitian(matrix)
+    i, j = transform.i, transform.j
+    if j >= A.dim:
+        raise InvalidInput("transposition index out of range for this matrix")
+    result = A.entries.copy()
+    U = np.eye(A.dim, dtype=complex)
+    U[np.ix_([i, j], [i, j])] = _rotate(result, transform)
     return U, HermitianMatrix(result)
 
 
@@ -228,13 +228,14 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> Herm
     Feasible exactly when p is majorized by lam with equal totals.
     Starts from the diagonal matrix of lam and conjugates along the
     mixing chain; every step is a similarity, so the spectrum never
-    moves while the diagonal walks to p.
+    moves while the diagonal walks to p.  Only the finished matrix is validated.
     """
-    chain = t_transform_chain(lam, p, tol)
-    A = HermitianMatrix.from_diagonal(lam)
+    le = as_eigenlist(lam)
+    chain = t_transform_chain(le, p, tol)
+    a = np.diag(le.values.astype(complex))
     for transform in chain:
-        _, A = apply_t_transform(A, transform)
-    return A
+        _rotate(a, transform)
+    return HermitianMatrix(a)
 
 
 def ky_fan_sum(matrix: MatrixLike, k: int) -> float:

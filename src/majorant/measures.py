@@ -10,11 +10,12 @@ same verdict are provided and must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .eigenlists import _readonly_copy
 from .errors import InvalidInput
 from .horn import MatrixLike, as_hermitian
 
@@ -124,8 +125,8 @@ class CompactMeasure:
 
     @classmethod
     def from_jsonable(cls, data) -> "CompactMeasure":
-        if not isinstance(data, dict):
-            raise InvalidInput("measure JSON must be an object with atoms/pieces")
+        if not isinstance(data, dict) or not ("atoms" in data or "pieces" in data):
+            raise InvalidInput('measure JSON must be an object with an "atoms" or a "pieces" list')
         try:
             atoms = tuple((d["x"], d["mass"]) for d in data.get("atoms", []))
             pieces = tuple((d["a"], d["b"], d["mass"]) for d in data.get("pieces", []))
@@ -151,9 +152,7 @@ class StepFunction:
             raise InvalidInput("step function needs at least one cell")
         if not np.all(np.isfinite(arr)):
             raise InvalidInput("step function values must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _readonly_copy(arr))
 
     @property
     def cells(self) -> int:

@@ -19,7 +19,7 @@ from .eigenlists import (
     check_majorization,
     reduce_to_equality,
 )
-from .errors import InvalidInput, MajorizationViolation, TraceMismatch
+from .errors import InvalidInput, TraceMismatch
 from .horn import HermitianMatrix, MatrixLike, as_hermitian, eigh_desc, horn_construct
 
 #: slack allowed when testing nonnegativity of inputs that came out of a solver
@@ -68,8 +68,6 @@ def realize_finite_rank(lam: ListLike, p: ListLike, n: int, tol: float = DEFAULT
     _nonnegative(pe.values, "diagonal list")
     _nonnegative(le.values, "spectrum list")
     pe, le = _pad_to(pe, int(n), "p"), _pad_to(le, int(n), "lam")
-    if not feasible_diagonal(pe, le, tol):
-        raise MajorizationViolation("diagonal list is not attainable for this spectrum")
     return horn_construct(le, pe, tol)
 
 
@@ -93,10 +91,6 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DEFAULT_T
     if evals[-1] < -1e-10 * max(1.0, float(evals[0])):
         raise InvalidInput("matrix must be positive semidefinite")
     lam_top = EigenList(np.maximum(evals[:r], 0.0), tolerance=1e-9)
-    if not check_majorization(pe, lam_top, "dominance", tol).holds:
-        raise MajorizationViolation(
-            "prefix sums of p exceed the top eigenvalue prefix sums"
-        )
     mu = reduce_to_equality(pe, lam_top, tol)
     core = horn_construct(mu, pe, tol)
     _, frame = eigh_desc(core)

@@ -153,6 +153,15 @@ class TestOtherCommands:
         assert result["achieved"] == 0.0
         assert sorted(result["permutation"]) == [0, 1, 2, 3]
 
+    def test_measure_report_is_not_a_measure(self, capsys, tmp_path):
+        m_file = tmp_path / "m.json"
+        m_file.write_text(json.dumps({"atoms": [{"x": 0.0, "mass": 1.0}]}))
+        report = tmp_path / "report.json"
+        assert run(capsys, "measure", str(m_file), "-o", str(report))[0] == 0
+        code, _, err = run(capsys, "transport", "--measure", str(report), "--cells", "4")
+        assert code == 2
+        assert '"atoms"' in err
+
 
 class TestPinchExperimentCommand:
     def test_reports_are_byte_identical(self, capsys):
@@ -179,6 +188,17 @@ class TestPinchExperimentCommand:
                                "--seed", "11")
         assert env_out == direct_out
         assert json.loads(env_out)["seed"] == 11
+
+    def test_malformed_env_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAJORANT_SEED", "abc")
+        code, out, err = run(capsys, "pinch-experiment", "--n", "3", "--trials", "2")
+        assert code == 2 and out == ""
+        assert "MAJORANT_SEED" in err
+
+    def test_out_of_range_seed_exits_two(self, capsys):
+        code, _, err = run(capsys, "pinch-experiment", "--n", "3", "--trials", "2",
+                           "--seed", "-1")
+        assert code == 2 and "64-bit" in err
 
     def test_seventeen_digit_floats(self, capsys):
         _, out, _ = run(capsys, "pinch-experiment", "--n", "4", "--trials", "5",

@@ -154,6 +154,16 @@ class TestHornConstruct:
             spectrum = np.linalg.eigvalsh(a.entries)[::-1]
             assert np.max(np.abs(spectrum - lam.values)) <= 1e-8
 
+    def test_matches_folded_apply_t_transform_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 5, 8, 13, 21, 34, 60):
+            for _ in range(3):
+                p, lam = random_majorizing_pair(rng, n)
+                folded = HermitianMatrix.from_diagonal(lam)
+                for step in t_transform_chain(lam, p):
+                    _, folded = apply_t_transform(folded, step)
+                np.testing.assert_array_equal(horn_construct(lam, p).entries, folded.entries)
+
 
 class TestKyFanSum:
     def test_diagonal_example(self):

@@ -202,3 +202,19 @@ class TestPinchExperiment:
     def test_seed_bounds(self):
         with pytest.raises(InvalidInput):
             pinch_experiment(4, 5, seed=2**64)
+
+    def test_witnesses_match_matrix_recomputation(self):
+        for n, trials, seed in ((6, 20, 42), (20, 10, 3), (1, 5, 8)):
+            report = pinch_experiment(n, trials, seed)
+            rng = np.random.default_rng(seed)
+            min_pos = min_convex = np.inf
+            for _ in range(trials):
+                a = random_hermitian(rng, n)
+                lhs = np.diag(positive_part(pinch_diag(a)).entries).real
+                rhs = np.diag(pinch_diag(positive_part(a)).entries).real
+                min_pos = min(min_pos, float(np.min(rhs - lhs)))
+                for f in default_convex_family(rng):
+                    min_convex = min(min_convex, convex_pinch_check(a, f)[1])
+            checks = report["checks"]
+            assert checks["positive_part"]["min_witness"] == pytest.approx(min_pos, abs=1e-12)
+            assert checks["convex_family"]["min_witness"] == pytest.approx(min_convex, abs=1e-12)
