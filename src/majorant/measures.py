@@ -1,9 +1,12 @@
 """Compactly supported probability measures and the spread order on them.
 
-A measure is stored as point masses plus uniform pieces, which keeps
+A measure is given as point masses plus uniform pieces, which keeps
 every quantity needed here (moments, tail integrals, quantiles) in
 closed form, so order tests are limited only by round-off and never by
-quadrature error.  ``majorize_measure`` decides whether one measure is
+quadrature error.  Each measure also holds its breakpoint grid (the
+distinct atom locations and piece ends, the atom mass at each, the
+density and mass of each gap), from which survivor, tails, support and
+quantiles are read.  ``majorize_measure`` decides whether one measure is
 dominated by another in the convex/spread sense; three routes to the
 same verdict are provided and must agree.
 """
@@ -26,13 +29,19 @@ MASS_TOL = 1e-12
 ORDER_TOL = 1e-10
 
 
+def _suffix(v: np.ndarray) -> np.ndarray:
+    """Sums of ``v`` from each index to the end, then 0 for past the end."""
+    return np.append(np.cumsum(v[::-1])[::-1], 0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class CompactMeasure:
     """Probability measure = atoms + uniform pieces, compact support.
 
     ``atoms`` is a sequence of (location, mass) pairs and ``pieces`` a
     sequence of (a, b, mass) triples, each spreading its mass uniformly
-    over [a, b].  Total mass must be 1.
+    over [a, b].  Total mass must be 1.  Ordering computations read the
+    breakpoint grid built from both on construction.
     """
 
     atoms: tuple = ()
@@ -63,6 +72,23 @@ class CompactMeasure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
 
+        # the breakpoint grid x_0 < ... < x_K with the atom mass at each;
+        # gap j is (x_{j-1}, x_j), gaps 0 and K + 1 are the empty ones below
+        # and above the support, and _above[j] is the mass at or above x_j
+        atom_x, atom_w = np.array(atoms, dtype=float).reshape(-1, 2).T
+        piece_a, piece_b, piece_w = np.array(pieces, dtype=float).reshape(-1, 3).T
+        x, where = np.unique(np.concatenate([atom_x, piece_a, piece_b]), return_inverse=True)
+        atom = np.bincount(where[: atom_x.size], atom_w, x.size)
+        dens = np.zeros(x.size + 1)
+        for lo, hi, d in zip(*where[atom_x.size :].reshape(2, -1), piece_w / (piece_b - piece_a)):
+            dens[lo + 1 : hi + 1] += d
+        cell = np.zeros_like(dens)
+        cell[1:-1] = dens[1:-1] * (x[1:] - x[:-1])
+        grid = {"_x": x, "_atom": atom, "_dens": dens, "_cell": cell, "_above": _suffix(atom + cell[1:])}
+        for name, arr in grid.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -88,15 +114,11 @@ class CompactMeasure:
     # -- basic descriptors ----------------------------------------------
 
     def support_bounds(self) -> tuple[float, float]:
-        xs = [x for x, _ in self.atoms] + [e for a, b, _ in self.pieces for e in (a, b)]
-        return min(xs), max(xs)
+        return float(self._x[0]), float(self._x[-1])
 
     def breakpoints(self) -> np.ndarray:
         """Sorted locations where the tail integrals change analytic form."""
-        xs = [x for x, _ in self.atoms]
-        for a, b, _ in self.pieces:
-            xs.extend((a, b))
-        return np.unique(np.asarray(xs, dtype=float))
+        return self._x
 
     def mean(self) -> float:
         return moment(self, 1)
@@ -110,10 +132,8 @@ class CompactMeasure:
 
     def survivor(self, s: float) -> float:
         """Mass at or above ``s``."""
-        out = sum(w for x, w in self.atoms if x >= s)
-        for a, b, w in self.pieces:
-            out += w * min(1.0, max(0.0, (b - s) / (b - a)))
-        return out
+        j, h, dens = _locate(self, float(s))
+        return float(self._above[j] + dens * h)
 
     # -- serialization ---------------------------------------------------
 
@@ -181,7 +201,8 @@ def moment(m: CompactMeasure, k: int) -> float:
     k = int(k)
     total = sum(w * x**k for x, w in m.atoms)
     for a, b, w in m.pieces:
-        total += w * (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
+        # (b^(k+1) - a^(k+1)) / ((k+1)(b-a)) without the cancellation on a narrow piece
+        total += w * sum(a**j * b ** (k - j) for j in range(k + 1)) / (k + 1)
     return float(total)
 
 
@@ -203,25 +224,33 @@ def from_step_function(f: StepFunction) -> CompactMeasure:
 # -- tail integrals -----------------------------------------------------
 
 
-def _hinge_tail(m: CompactMeasure, t: float) -> float:
-    total = sum(w * (x - t) for x, w in m.atoms if x > t)
-    for a, b, w in m.pieces:
-        if t <= a:
-            total += w * (0.5 * (a + b) - t)
-        elif t < b:
-            total += w * (b - t) ** 2 / (2.0 * (b - a))
-    return float(total)
+def _locate(m: CompactMeasure, t):
+    """j with x_{j-1} < t <= x_j (K + 1 above the support), h = x_j - t
+    (0 above the support) and the density on gap j, for each threshold t;
+    the survivor at t is ``m._above[j] + dens * h``."""
+    j = np.searchsorted(m._x, t)
+    h = np.maximum(m._x[np.minimum(j, m._x.size - 1)] - t, 0.0)
+    return j, h, m._dens[j]
 
 
-def _survivor_tail(m: CompactMeasure, t: float) -> float:
-    # integrate the survivor function s -> m([s, oo)) from t upward;
-    # it is affine between breakpoints, so the midpoint rule is exact
-    bps = m.breakpoints()
-    bps = np.concatenate(([t], bps[bps > t]))
-    total = 0.0
-    for u, v in zip(bps[:-1], bps[1:]):
-        total += (v - u) * m.survivor(0.5 * (u + v))
-    return float(total)
+def _hinge_tail(m: CompactMeasure, t):
+    # w (x - t) over the atoms and whole gaps above t from suffix sums of
+    # first moments about a centre of the support, so that a measure far
+    # from 0 loses no more digits than its width costs; then t's own gap
+    centre = 0.5 * (m._x[0] + m._x[-1])
+    mids = 0.5 * (m._x[:-1] + m._x[1:])
+    first = _suffix(m._atom * (m._x - centre) + np.append(m._cell[1:-1] * (mids - centre), 0.0))
+    j, h, dens = _locate(m, t)
+    return first[j] - (t - centre) * m._above[j] + 0.5 * dens * h * h
+
+
+def _survivor_tail(m: CompactMeasure, t):
+    # integrate the survivor s -> m([s, oo)) from t upward; it is affine
+    # on each gap, so width times the survivor at the midpoint is exact
+    gaps = np.diff(m._x) * (m._above[1:-1] + 0.5 * m._cell[1:-1])
+    whole = _suffix(np.append(gaps, 0.0))
+    j, h, dens = _locate(m, t)
+    return whole[j] + h * (m._above[j] + 0.5 * dens * h)
 
 
 def tail_integral(m: CompactMeasure, t: float, mode: str = "hinge") -> float:
@@ -229,15 +258,17 @@ def tail_integral(m: CompactMeasure, t: float, mode: str = "hinge") -> float:
 
     ``hinge`` integrates max(x - t, 0) against the measure; ``survivor``
     integrates the mass function m([s, oo)) over s >= t.  Integration by
-    parts makes the two equal, and both are computed in closed form, so
-    they agree to round-off; the pair acts as a built-in cross-check.
+    parts makes the two equal.  Both are read in closed form from the
+    measure's breakpoint grid by different formulas (suffix sums of first
+    moments for ``hinge``, gap widths times midpoint survivors for
+    ``survivor``), so they agree to round-off and cross-check each other.
     """
     if not np.isfinite(t):
         raise InvalidInput("threshold must be finite")
     if mode == "hinge":
-        return _hinge_tail(m, float(t))
+        return float(_hinge_tail(m, float(t)))
     if mode == "survivor":
-        return _survivor_tail(m, float(t))
+        return float(_survivor_tail(m, float(t)))
     raise InvalidInput(f"unknown mode {mode!r}; expected 'hinge' or 'survivor'")
 
 
@@ -269,27 +300,23 @@ def integrate_function(m: CompactMeasure, f: Callable[[float], float], kinks: Se
 # -- the spread order -----------------------------------------------------
 
 
-def _candidate_thresholds(m: CompactMeasure, n: CompactMeasure, gap: Callable[[float], float]) -> np.ndarray:
+def _decisive_thresholds(m: CompactMeasure, n: CompactMeasure) -> np.ndarray:
     """Thresholds sufficient to decide sup_t gap(t) <= 0.
 
-    The gap of two tail integrals is piecewise quadratic with breaks at
-    the union of both measures' breakpoints; its sup over the reals is
-    attained either at a break or at an interior vertex of one of the
-    quadratic segments, so those finitely many points are decisive.
+    A tail integral has derivative minus the survivor, so the gap of two
+    tails is piecewise quadratic with breaks at the union breakpoints and,
+    inside a union segment, slope minus the survivor difference, which is
+    affine there.  Its sup is attained at a break or where that difference
+    crosses zero; the first break is at or below both supports, where each
+    tail is the mean minus the threshold.
     """
-    bps = np.unique(np.concatenate([m.breakpoints(), n.breakpoints()]))
-    cands = list(bps)
-    for u, v in zip(bps[:-1], bps[1:]):
-        mid = 0.5 * (u + v)
-        h = 0.5 * (v - u)
-        gu, gm, gv = gap(u), gap(mid), gap(v)
-        curve = gu - 2.0 * gm + gv  # = 2*a2*h^2 for a quadratic segment
-        if abs(curve) <= 1e-15 * max(1.0, abs(gu), abs(gv)):
-            continue
-        vertex = mid - h * (gv - gu) / (2.0 * curve)
-        if u < vertex < v:
-            cands.append(vertex)
-    return np.asarray(sorted(cands))
+    x = np.union1d(m._x, n._x)
+    mids = 0.5 * (x[:-1] + x[1:])
+    (jm, hm, dm), (jn, hn, dn) = _locate(m, mids), _locate(n, mids)
+    diff = m._above[jm] + dm * hm - n._above[jn] - dn * hn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = mids + diff / (dm - dn)
+    return np.sort(np.concatenate([x, vertex[(x[:-1] < vertex) & (vertex < x[1:])]]))
 
 
 def majorize_measure(m: CompactMeasure, n: CompactMeasure, method: str = "hinge") -> bool:
@@ -301,76 +328,44 @@ def majorize_measure(m: CompactMeasure, n: CompactMeasure, method: str = "hinge"
     * ``hinge``     - closed-form hinge tails (authoritative),
     * ``survivor``  - closed-form survivor-function integration,
     * ``convex_family`` - direct integrals of explicit convex test
-      functions (affine functions plus hinges at the decisive
-      thresholds) via generic piecewise quadrature.
+      functions (hinges at the decisive thresholds, the lowest of which
+      is affine on both supports) via generic piecewise quadrature.
 
-    All three routes check the same finite decisive threshold set and
-    therefore return identical verdicts.
+    All three routes check one shared decisive threshold set and therefore
+    return identical verdicts; the gap at the lowest is the moment gap.
     """
     if not isinstance(m, CompactMeasure) or not isinstance(n, CompactMeasure):
         raise InvalidInput("majorize_measure expects two CompactMeasure values")
     if method not in ("hinge", "survivor", "convex_family"):
         raise InvalidInput(f"unknown method {method!r}")
 
-    if method == "hinge":
-        def gap(t: float) -> float:
-            return _hinge_tail(m, t) - _hinge_tail(n, t)
-        moment_gap = moment(m, 1) - moment(n, 1)
-    elif method == "survivor":
-        def gap(t: float) -> float:
-            return _survivor_tail(m, t) - _survivor_tail(n, t)
-        lo = min(m.support_bounds()[0], n.support_bounds()[0]) - 1.0
-        moment_gap = (_survivor_tail(m, lo) + lo) - (_survivor_tail(n, lo) + lo)
-    else:
+    thresholds = _decisive_thresholds(m, n)
+    if method == "convex_family":
         def gap(t: float) -> float:
             f = lambda x: max(x - t, 0.0)
             return integrate_function(m, f, kinks=(t,)) - integrate_function(n, f, kinks=(t,))
-        ident = lambda x: x
-        moment_gap = integrate_function(m, ident) - integrate_function(n, ident)
+        return abs(gap(thresholds[0])) <= ORDER_TOL and all(gap(t) <= ORDER_TOL for t in thresholds[1:])
 
-    if abs(moment_gap) > ORDER_TOL:
-        return False
-    thresholds = _candidate_thresholds(m, n, gap)
-    return all(gap(t) <= ORDER_TOL for t in thresholds)
+    tail = _hinge_tail if method == "hinge" else _survivor_tail
+    gaps = tail(m, thresholds) - tail(n, thresholds)
+    return bool(abs(gaps[0]) <= ORDER_TOL and np.all(gaps <= ORDER_TOL))
 
 
 # -- quantiles and transport ----------------------------------------------
 
 
 def _quantiles(m: CompactMeasure, probs: np.ndarray) -> np.ndarray:
-    """Left-continuous generalized inverse CDF at sorted probabilities."""
-    bps = m.breakpoints()
-    atom_mass = {float(x): 0.0 for x, _ in m.atoms}
-    for x, w in m.atoms:
-        atom_mass[float(x)] += w
-    # uniform density on each gap between consecutive breakpoints
-    dens = np.zeros(bps.size - 1)
-    for a, b, w in m.pieces:
-        lo = np.searchsorted(bps, a)
-        hi = np.searchsorted(bps, b)
-        dens[lo:hi] += w / (b - a)
-
-    out = np.empty(probs.size)
-    idx = 0
-    cum = 0.0
-    for k, x in enumerate(bps):
-        w = atom_mass.get(float(x), 0.0)
-        if w > 0.0:
-            new_cum = cum + w
-            hi = np.searchsorted(probs, new_cum, side="right")
-            out[idx:hi] = x
-            idx = hi
-            cum = new_cum
-        if k + 1 < bps.size and dens[k] > 0.0:
-            x_next = bps[k + 1]
-            new_cum = cum + dens[k] * (x_next - x)
-            hi = np.searchsorted(probs, new_cum, side="right")
-            out[idx:hi] = x + (probs[idx:hi] - cum) / dens[k]
-            idx = hi
-            cum = new_cum
-        if idx == probs.size:
-            break
-    out[idx:] = bps[-1]  # round-off stragglers at the top
+    """Left-continuous generalized inverse CDF at the given probabilities."""
+    # masses in grid order: atom at x_0, gap (x_0, x_1), atom at x_1, ...
+    mass = np.empty(2 * m._x.size - 1)
+    mass[0::2], mass[1::2] = m._atom, m._cell[1:-1]
+    cum = np.cumsum(mass)
+    cum[-1] = np.inf  # the top atom also takes round-off stragglers
+    # p falls in the first entry whose cumulative mass reaches p
+    k, in_gap = np.divmod(np.searchsorted(cum, probs), 2)
+    gap = in_gap == 1
+    out = m._x[k]
+    out[gap] += (probs[gap] - cum[2 * k[gap]]) / m._dens[k[gap] + 1]
     return out
 
 

@@ -1,9 +1,10 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the library's own computational paths: raw
-prefix-sum arithmetic, direct singular values, and brute-force
-constraint checks, so that every construction is judged by something it
-did not itself compute.
+prefix-sum arithmetic, direct singular values, brute-force constraint
+checks, and tail integrals summed over a measure's atoms and pieces,
+so that every construction is judged by something it did not itself
+compute.
 """
 
 import numpy as np
@@ -56,6 +57,17 @@ def hinge_sum(values, t):
     """Direct hinge average of a finite list: mean of max(v - t, 0)."""
     values = np.asarray(values, float)
     return float(np.maximum(values - t, 0.0).mean())
+
+
+def hinge_tail(m, t):
+    """Integral of max(x - t, 0) against a CompactMeasure, atom by atom and piece by piece."""
+    total = sum(w * (x - t) for x, w in m.atoms if x > t)
+    for a, b, w in m.pieces:
+        if t <= a:
+            total += w * (0.5 * (a + b) - t)
+        elif t < b:
+            total += w * (b - t) ** 2 / (2.0 * (b - a))
+    return float(total)
 
 
 def top_k_tail_formula(values, k, t):

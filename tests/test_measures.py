@@ -24,7 +24,7 @@ from majorant.sampling import (
     random_ordered_pair,
 )
 
-from oracles import decreasing_grid_lists, hinge_sum, top_k_tail_formula
+from oracles import decreasing_grid_lists, hinge_sum, hinge_tail, top_k_tail_formula
 
 HALF_HALF = CompactMeasure(atoms=((0.0, 0.5), (1.0, 0.5)))
 METHODS = ("hinge", "survivor", "convex_family")
@@ -68,6 +68,14 @@ class TestMoment:
     def test_negative_order_rejected(self):
         with pytest.raises(InvalidInput):
             moment(HALF_HALF, -1)
+
+    def test_narrow_piece_far_from_zero(self):
+        # (b^2 - a^2) / (2 (b - a)) cancels on a narrow piece far from 0; it
+        # can move the mean by 1.8e-10, enough to turn the hinge verdict
+        narrow = CompactMeasure.uniform(1000.0, 1000.1)
+        assert moment(narrow, 1) == pytest.approx(1000.05, abs=1e-12)
+        for method in METHODS:
+            assert majorize_measure(CompactMeasure.point(1000.05), narrow, method)
 
 
 class TestFromMatrix:
@@ -123,6 +131,28 @@ class TestTailIntegral:
             h = tail_integral(m, t, "hinge")
             assert abs(s - h) <= 1e-12
 
+    def test_grid_tails_match_reference(self):
+        # overlapping pieces, a repeated atom location and atoms at piece
+        # ends, at breakpoints, inside gaps and outside the support
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            a0 = float(rng.uniform(-2.0, 0.0))
+            b0 = a0 + float(rng.uniform(0.5, 2.0))
+            a1 = float(rng.uniform(a0, b0))
+            b1 = b0 + float(rng.uniform(0.1, 1.0))
+            x = float(rng.uniform(-3.0, 3.0))
+            w = rng.dirichlet(np.ones(6))
+            m = CompactMeasure(
+                atoms=tuple(zip((x, x, b0, a1), w[:4])),
+                pieces=((a0, b0, w[4]), (a1, b1, w[5])),
+            )
+            bps = m.breakpoints()
+            lo, hi = m.support_bounds()
+            inside = bps[:-1] + rng.uniform(0.0, 1.0, bps.size - 1) * np.diff(bps)
+            for t in [*bps, *inside, lo - 1.0, hi + 1.0]:
+                for mode in ("survivor", "hinge"):
+                    assert abs(tail_integral(m, t, mode) - hinge_tail(m, t)) <= 1e-13
+
     def test_matches_finite_list_formula(self):
         # for an equal-mass atomic measure and t between consecutive
         # values, the tail integral is (v_1 + ... + v_k - k t) / n
@@ -170,6 +200,23 @@ class TestMajorizeMeasure:
         for method in METHODS:
             assert not majorize_measure(HALF_HALF, uniform, method)
             assert majorize_measure(uniform, HALF_HALF, method)
+
+    def test_interior_gap_near_segment_end_detected(self):
+        # on the union segment [0, 1] the tail gap peaks at 31/512, in the
+        # segment's first tenth; it is <= 0 at every breakpoint and at the
+        # quarter points and midpoint of every segment, so only the exact
+        # vertex of the gap reveals that the order fails
+        p, top = 1 / 32, 31 / 16
+        m = CompactMeasure(atoms=((0.0, p), (1.0, 1 - p)))
+        n = CompactMeasure.uniform(0.0, top)
+        bps = np.union1d(m.breakpoints(), n.breakpoints())
+        for t in [u + f * (v - u) for u, v in zip(bps[:-1], bps[1:]) for f in (0, 0.25, 0.5, 0.75, 1)]:
+            assert tail_integral(m, t, "hinge") - tail_integral(n, t, "hinge") <= 0.0
+        vertex = p * top
+        assert vertex < 0.1
+        assert tail_integral(m, vertex, "hinge") - tail_integral(n, vertex, "hinge") > 1e-4
+        for method in METHODS:
+            assert not majorize_measure(m, n, method)
 
     def test_first_moment_mismatch_is_false(self):
         for method in METHODS:
