@@ -1,11 +1,15 @@
 """Hermitian matrices with prescribed spectrum and diagonal.
 
-The construction is the classical one: a chain of two-coordinate mixing
-steps carries the spectrum list onto the target diagonal, and each step
-is realized by a plane rotation whose phase is chosen so that the
-rotated matrix picks up exactly the mixed diagonal.  Also provides the
-top-k eigenvalue sums (the trace maximum over rank-k projections) and
-spectral alignment of two matrices with entrywise-close spectra.
+The construction is Horn's (Amer. J. Math. 76, 1954, "Doubly stochastic
+matrices and the diagonal of a rotation matrix"): a chain of two-coordinate
+mixing steps carries the spectrum list onto the target diagonal, and each
+step is realized by a plane rotation.  Each step pins one of its two
+coordinates at its target and no step rotates a pinned one, so the
+submatrix on the unpinned coordinates stays diagonal, a_ij == 0 whenever
+(i, j) is rotated, and every construction is real orthogonal.  Also
+provides the top-k eigenvalue sums (the trace maximum over rank-k
+projections) and spectral alignment of two matrices with entrywise-close
+spectra.
 """
 
 from __future__ import annotations
@@ -25,15 +29,15 @@ HERMITIAN_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """Dense self-adjoint complex matrix."""
+    """Dense self-adjoint matrix: float64 entries for real input, complex128 otherwise."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InvalidInput("matrix must be square and nonempty")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.all(np.isfinite(arr)):
             raise InvalidInput("matrix entries must be finite")
         if np.max(np.abs(arr - arr.conj().T)) > HERMITIAN_TOL:
             raise InvalidInput("matrix is not self-adjoint within tolerance")
@@ -53,7 +57,7 @@ class HermitianMatrix:
 
     @classmethod
     def from_diagonal(cls, values: ListLike) -> "HermitianMatrix":
-        return cls(np.diag(np.asarray(as_eigenlist(values).values, dtype=complex)))
+        return cls(np.diag(as_eigenlist(values).values))
 
     def to_jsonable(self) -> dict:
         return matrix_to_jsonable(self.entries)
@@ -69,7 +73,7 @@ MatrixLike = Union[HermitianMatrix, Sequence, np.ndarray]
 def as_hermitian(matrix: MatrixLike) -> HermitianMatrix:
     if isinstance(matrix, HermitianMatrix):
         return matrix
-    return HermitianMatrix(np.asarray(matrix, dtype=complex))
+    return HermitianMatrix(matrix)
 
 
 def matrix_to_jsonable(arr: np.ndarray) -> dict:
@@ -147,28 +151,28 @@ def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> l
     classical pivot rule: locate the first coordinate still above its
     target and the first later coordinate below its target, and transfer
     as much as one of them needs.  Each step finalizes at least one
-    coordinate, so at most n-1 steps are produced.
+    coordinate, so at most n-1 steps are produced.  A step moves only x_i
+    and x_j, each towards its target, so both pivots only move right.
     """
     le, pe = as_eigenlist(lam), as_eigenlist(p)
     if len(le) != len(pe):
         raise InvalidInput("lists must have equal length")
     if not check_majorization(pe, le, "equality", tol).holds:
         raise MajorizationViolation("p must be majorized by lam with equal totals")
-    x = le.values.copy()
-    pv = pe.values
-    scale = max(1.0, float(np.max(np.abs(x))))
-    snap = 1e-12 * scale
+    x = le.values.tolist()
+    pv = pe.values.tolist()
+    n = len(x)
+    snap = 1e-12 * max(1.0, float(np.max(np.abs(le.values))))
     chain: list[TTransform] = []
-    for _ in range(x.size - 1):
-        diff = x - pv
-        above = np.nonzero(diff > snap)[0]
-        if above.size == 0:
+    i = j = 0
+    for _ in range(n - 1):
+        while i < n and x[i] - pv[i] <= snap:
+            i += 1
+        j = max(j, i + 1)
+        while j < n and x[j] - pv[j] >= -snap:
+            j += 1
+        if j >= n:
             break
-        i = int(above[0])
-        below = np.nonzero(diff[i + 1 :] < -snap)[0]
-        if below.size == 0:
-            break
-        j = int(below[0]) + i + 1
         delta = min(x[i] - pv[i], pv[j] - x[j])
         t = 1.0 - delta / (x[i] - x[j])
         chain.append(TTransform(i, j, t))
@@ -183,26 +187,27 @@ def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> l
     return chain
 
 
-def _rotate(a: np.ndarray, transform: TTransform) -> np.ndarray:
-    """Conjugate ``a`` in place, rows and columns i and j only, by one mixing step.
+def _rotate(a: np.ndarray, transform: TTransform) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugate ``a``, rows and columns i and j only, by one mixing step.
 
-    Returns the 2 x 2 block of the rotation.  The phase z is unimodular
-    with z * a_ij purely imaginary, which is exactly what makes the
-    cross terms drop out of the new diagonal.
+    Returns the rotated array (``a`` itself unless a real ``a`` needs the
+    phase) and the 2 x 2 block.  A phase z with z * a_ij purely imaginary,
+    needed only when a_ij != 0, makes the cross terms drop out of the diagonal.
     """
     i, j, t = transform.i, transform.j, transform.t
     c = math.sqrt(t)
     s = math.sqrt(max(0.0, 1.0 - t))
     aij = a[i, j]
     if s == 0.0 or aij == 0:
-        z = 1.0 + 0.0j
+        block = np.array([[c, s], [-s, c]])
     else:
         z = 1j * np.conj(aij) / abs(aij)
-    block = np.array([[z * c, s], [-z * s, c]], dtype=complex)
+        block = np.array([[z * c, s], [-z * s, c]])
+        a = a.astype(complex, copy=False)
     idx = [i, j]
     a[idx, :] = block @ a[idx, :]
     a[:, idx] = a[:, idx] @ block.conj().T
-    return block
+    return a, block
 
 
 def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.ndarray, HermitianMatrix]:
@@ -210,20 +215,21 @@ def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.nda
 
     Returns (U, U A U*) where U is unitary, equal to the identity except
     in rows/columns i and j, and the diagonal of the result is the mixed
-    diagonal t*d + (1-t)*(d with entries i, j swapped).
+    diagonal t*d + (1-t)*(d with entries i, j swapped).  Both keep A's dtype unless
+    the rotation needs a complex phase.
     """
     A = as_hermitian(matrix)
     i, j = transform.i, transform.j
     if j >= A.dim:
         raise InvalidInput("transposition index out of range for this matrix")
-    result = A.entries.copy()
-    U = np.eye(A.dim, dtype=complex)
-    U[np.ix_([i, j], [i, j])] = _rotate(result, transform)
+    result, block = _rotate(A.entries.copy(), transform)
+    U = np.eye(A.dim, dtype=result.dtype)
+    U[np.ix_([i, j], [i, j])] = block
     return U, HermitianMatrix(result)
 
 
 def horn_construct(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> HermitianMatrix:
-    """Self-adjoint matrix with spectrum ``lam`` and diagonal ``p``.
+    """Real symmetric matrix with spectrum ``lam`` and diagonal ``p``.
 
     Feasible exactly when p is majorized by lam with equal totals.
     Starts from the diagonal matrix of lam and conjugates along the
@@ -232,9 +238,9 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> Herm
     """
     le = as_eigenlist(lam)
     chain = t_transform_chain(le, p, tol)
-    a = np.diag(le.values.astype(complex))
+    a = np.diag(le.values)
     for transform in chain:
-        _rotate(a, transform)
+        a, _ = _rotate(a, transform)
     return HermitianMatrix(a)
 
 

@@ -79,7 +79,8 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DEFAULT_T
     of totals needed).  The witness is built in three moves: reduce the
     top eigenvalues to a list mu with matching total, realize mu with
     diagonal p inside the top-r eigenspace, then shrink each column so
-    the quadratic form lands exactly on p.
+    the quadratic form lands exactly on p.  All of it runs in the dtype
+    of A, so L is real for a real A.
     """
     A = as_hermitian(matrix)
     pe = as_eigenlist(p)
@@ -93,7 +94,7 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DEFAULT_T
     lam_top = EigenList(np.maximum(evals[:r], 0.0), tolerance=1e-9)
     mu = reduce_to_equality(pe, lam_top, tol)
     core = horn_construct(mu, pe, tol)
-    _, frame = eigh_desc(core)
+    _, frame = eigh_desc(core.entries.astype(A.entries.dtype))
     # rows of the eigenvector matrix give orthonormal vectors whose
     # quadratic form against diag(mu) is exactly the diagonal of `core`
     V = evecs[:, :r] @ frame.conj().T
@@ -101,7 +102,7 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DEFAULT_T
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(quad > NEGATIVITY_TOL, pe.values / np.maximum(quad, NEGATIVITY_TOL), 0.0)
     weights = np.clip(weights, 0.0, 1.0)
-    L = np.zeros((A.dim, A.dim), dtype=complex)
+    L = np.zeros((A.dim, A.dim), dtype=V.dtype)
     L[:, :r] = V * np.sqrt(weights)[None, :]
     return L
 

@@ -44,6 +44,39 @@ def apply_chain(start, chain):
     return x
 
 
+def reference_chain(lam, p):
+    """The pivot rule by full rescans: (i, j, t) of every mixing step.
+
+    Each step rescans x - p for the first coordinate above its target
+    (beyond the snap tolerance) and the first later one below it; t is
+    clamped to [0, 1] as ``TTransform`` clamps it.
+    """
+    x = np.asarray(lam, float).copy()
+    pv = np.asarray(p, float)
+    snap = 1e-12 * max(1.0, float(np.max(np.abs(x))))
+    steps = []
+    for _ in range(x.size - 1):
+        diff = x - pv
+        above = np.nonzero(diff > snap)[0]
+        if above.size == 0:
+            break
+        i = int(above[0])
+        below = np.nonzero(diff[i + 1 :] < -snap)[0]
+        if below.size == 0:
+            break
+        j = int(below[0]) + i + 1
+        delta = min(x[i] - pv[i], pv[j] - x[j])
+        t = 1.0 - delta / (x[i] - x[j])
+        steps.append((i, j, float(min(1.0, max(0.0, t)))))
+        x[i] -= delta
+        x[j] += delta
+        if abs(x[i] - pv[i]) <= snap:
+            x[i] = pv[i]
+        if abs(x[j] - pv[j]) <= snap:
+            x[j] = pv[j]
+    return steps
+
+
 def trace_norm(m):
     """Sum of singular values."""
     return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())

@@ -13,11 +13,16 @@ from majorant import (
     approx_conjugate,
     horn_construct,
     ky_fan_sum,
+    projection_with_diagonal,
+    realize_finite_rank,
     t_transform_chain,
 )
+from majorant import horn as horn_module
+from majorant.horn import matrix_to_jsonable
 from majorant.sampling import haar_unitary, random_hermitian, random_majorizing_pair
+from majorant.serialize import dumps
 
-from oracles import apply_chain, op_norm
+from oracles import apply_chain, op_norm, reference_chain
 
 
 class TestHermitianMatrixType:
@@ -34,6 +39,22 @@ class TestHermitianMatrixType:
         b = HermitianMatrix.from_jsonable(a.to_jsonable())
         np.testing.assert_array_equal(a.entries, b.entries)
 
+    def test_dtype_follows_input(self):
+        assert HermitianMatrix([[1, 2], [2, 0]]).entries.dtype == np.float64
+        assert HermitianMatrix(np.diag([1.0, 0.0])).entries.dtype == np.float64
+        assert HermitianMatrix(np.diag([1.0, 0.0]).astype(complex)).entries.dtype == np.complex128
+        assert HermitianMatrix.from_diagonal((2.0, 1.0)).entries.dtype == np.float64
+
+    def test_real_json_matches_complex_json_byte_for_byte(self):
+        rng = np.random.default_rng(7)
+        p, lam = random_majorizing_pair(rng, 12)
+        signed_zeros = np.array([[-0.0, 1.5], [1.5, 0.0]])
+        for real in (horn_construct(lam, p).entries, signed_zeros):
+            assert real.dtype == np.float64
+            assert dumps(matrix_to_jsonable(real)) == dumps(
+                matrix_to_jsonable(real.astype(complex))
+            )
+
 
 class TestTTransformChain:
     def test_three_point_example(self):
@@ -49,6 +70,27 @@ class TestTTransformChain:
         assert [(c.i, c.j) for c in chain] == [(0, 1)]
         assert chain[0].t == pytest.approx(0.7, abs=1e-15)
         np.testing.assert_allclose(apply_chain((1, 0), chain), [0.7, 0.3], atol=1e-12)
+
+    def test_matches_rescanning_reference(self):
+        rng = np.random.default_rng(37)
+        pairs = []
+        for n in range(2, 201):
+            p, lam = random_majorizing_pair(rng, n)
+            pairs.append((lam.values, p.values))
+        for n, r in ((6, 3), (40, 30), (200, 150)):
+            # zero-padded spectra, as realize_finite_rank builds them
+            lam = np.sort(rng.uniform(0.5, 1.5, r) / np.arange(1, r + 1) ** 2)[::-1]
+            lam = np.pad(lam, (0, n - r))
+            mix = sum(w * rng.permutation(lam) for w in rng.dirichlet(np.ones(4)))
+            pairs.append((lam, np.sort(mix)[::-1]))
+        for n, rank in ((2, 1), (5, 2), (20, 8), (200, 80)):
+            # 0/1 projection spectra against targets with ties
+            ones = (np.arange(n) < rank).astype(float)
+            for s in (0.0, 0.25, 0.5):
+                pairs.append((ones, s * ones + (1.0 - s) * rank / n))
+        for lam, p in pairs + [(v, v) for v in (np.array([3.0, 2.0, 1.0]), np.zeros(4))]:
+            got = [(c.i, c.j, c.t) for c in t_transform_chain(lam, p)]
+            assert got == reference_chain(lam, p)
 
     def test_requires_majorization(self):
         with pytest.raises(MajorizationViolation):
@@ -84,6 +126,20 @@ class TestApplyTTransform:
         a = HermitianMatrix(np.array([[2.0, 1 + 1j], [1 - 1j, -1.0]]))
         _, result = apply_t_transform(a, TTransform(0, 1, 0.0))
         np.testing.assert_allclose(result.diagonal(), [-1.0, 2.0], atol=1e-14)
+
+    def test_real_input_promoted_only_for_the_phase(self):
+        a = HermitianMatrix(np.array([[2.0, 0.0, 1.0], [0.0, -1.0, 0.5], [1.0, 0.5, 0.0]]))
+        # a_01 == 0, and t == 1: no phase, real in and out
+        for step in (TTransform(0, 1, 0.3), TTransform(0, 2, 1.0)):
+            u, result = apply_t_transform(a, step)
+            assert u.dtype == result.entries.dtype == np.float64
+        step = TTransform(0, 2, 0.3)
+        u, result = apply_t_transform(a, step)
+        assert u.dtype == result.entries.dtype == np.complex128
+        assert np.max(np.abs(u @ a.entries @ u.conj().T - result.entries)) < 1e-14
+        np.testing.assert_allclose(
+            result.diagonal(), step.apply_to_vector(a.diagonal()), atol=1e-14
+        )
 
     def test_out_of_range_index(self):
         a = HermitianMatrix(np.diag([1.0, 0.0]))
@@ -153,6 +209,26 @@ class TestHornConstruct:
             assert np.max(np.abs(a.diagonal() - p.values)) <= 1e-10
             spectrum = np.linalg.eigvalsh(a.entries)[::-1]
             assert np.max(np.abs(spectrum - lam.values)) <= 1e-8
+
+    def test_chain_rotates_only_uncoupled_pairs(self, monkeypatch):
+        couplings = []
+        rotate = horn_module._rotate
+
+        def spy(a, transform):
+            couplings.append(a[transform.i, transform.j])
+            return rotate(a, transform)
+
+        monkeypatch.setattr(horn_module, "_rotate", spy)
+        rng = np.random.default_rng(43)
+        built = []
+        for n in (2, 3, 10, 50, 120):
+            p, lam = random_majorizing_pair(rng, n)
+            built.append(horn_construct(lam, p))
+        built.append(realize_finite_rank((1.0, 0.5, 0.25), (0.5, 0.5, 0.25, 0.25, 0.25), 6))
+        built.append(projection_with_diagonal((0.75, 0.75, 0.5, 0.5, 0.25, 0.25), 3, 6))
+        assert len(couplings) > 100
+        assert all(aij == 0 for aij in couplings)
+        assert all(m.entries.dtype == np.float64 for m in built)
 
     def test_matches_folded_apply_t_transform_bit_for_bit(self):
         rng = np.random.default_rng(31)

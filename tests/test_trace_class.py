@@ -122,6 +122,18 @@ class TestContractionDiagonal:
         np.testing.assert_allclose(got[:3], p.values, atol=1e-10)
         np.testing.assert_allclose(got[3:], 0.0, atol=1e-12)
 
+    def test_real_and_complex_matrix_give_valid_witnesses(self):
+        rng = np.random.default_rng(11)
+        for n, r in ((3, 2), (20, 10), (60, 60)):
+            p, lam = random_dominance_pair(rng, n, r=r)
+            a = horn_construct(lam, np.full(n, lam.total() / n))
+            for entries in (a.entries, a.entries.astype(complex)):
+                L = contraction_diagonal(HermitianMatrix(entries), p)
+                assert L.dtype == entries.dtype
+                got = np.diag(L.conj().T @ entries @ L).real
+                assert np.max(np.abs(got - np.pad(p.values, (0, n - r)))) <= 1e-9
+                assert op_norm(L) <= 1 + 1e-12
+
     def test_dominance_violation_rejected(self):
         with pytest.raises(MajorizationViolation):
             contraction_diagonal(HermitianMatrix(np.diag([1.0, 0.0])), (2.0,))
