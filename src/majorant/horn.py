@@ -6,10 +6,14 @@ mixing steps carries the spectrum list onto the target diagonal, and each
 step is realized by a plane rotation.  Each step pins one of its two
 coordinates at its target and no step rotates a pinned one, so the
 submatrix on the unpinned coordinates stays diagonal, a_ij == 0 whenever
-(i, j) is rotated, and every construction is real orthogonal.  Also
-provides the top-k eigenvalue sums (the trace maximum over rank-k
-projections) and spectral alignment of two matrices with entrywise-close
-spectra.
+(i, j) is rotated, and every construction is real orthogonal.  Both
+pivots of the chain only move right, so before a step (i, j) no row or
+column past j has been rotated and, off the diagonal, they are still
+exactly 0.  Rotating the leading block a[: j + 1, : j + 1] alone is
+therefore exact: the full rotation would recompute the rest of rows and
+columns i and j from those zeros as the same zeros.  Also provides the
+top-k eigenvalue sums (the trace maximum over rank-k projections) and
+spectral alignment of two matrices with entrywise-close spectra.
 """
 
 from __future__ import annotations
@@ -121,15 +125,20 @@ class TTransform:
     t: float
 
     def __post_init__(self):
-        if not (isinstance(self.i, (int, np.integer)) and isinstance(self.j, (int, np.integer))):
+        i, j, t = self.i, self.j, self.t
+        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
             raise InvalidInput("transposition indices must be integers")
-        if not 0 <= self.i < self.j:
+        if not 0 <= i < j:
             raise InvalidInput("need 0 <= i < j")
-        if not (np.isfinite(self.t) and -1e-12 <= self.t <= 1.0 + 1e-12):
+        if not (math.isfinite(t) and -1e-12 <= t <= 1.0 + 1e-12):
             raise InvalidInput("mixing weight t must lie in [0, 1]")
-        object.__setattr__(self, "i", int(self.i))
-        object.__setattr__(self, "j", int(self.j))
-        object.__setattr__(self, "t", float(min(1.0, max(0.0, self.t))))
+        # normalize in place only what is not yet a Python int or a float in
+        # (0, 1]: NumPy scalars, t clamped into [0, 1], and -0.0 -> 0.0
+        if type(i) is not int or type(j) is not int:
+            object.__setattr__(self, "i", int(i))
+            object.__setattr__(self, "j", int(j))
+        if type(t) is not float or not 0.0 < t <= 1.0:
+            object.__setattr__(self, "t", float(min(1.0, max(0.0, t))))
 
     def apply_to_vector(self, x: np.ndarray) -> np.ndarray:
         """The mixing recurrence on a raw coordinate vector."""
@@ -204,9 +213,10 @@ def _rotate(a: np.ndarray, transform: TTransform) -> tuple[np.ndarray, np.ndarra
         z = 1j * np.conj(aij) / abs(aij)
         block = np.array([[z * c, s], [-z * s, c]])
         a = a.astype(complex, copy=False)
-    idx = [i, j]
-    a[idx, :] = block @ a[idx, :]
-    a[:, idx] = a[:, idx] @ block.conj().T
+    rows = a[i : j + 1 : j - i]
+    rows[...] = block @ rows
+    cols = a[:, i : j + 1 : j - i]
+    cols[...] = cols @ block.conj().T
     return a, block
 
 
@@ -240,7 +250,9 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> Herm
     chain = t_transform_chain(le, p, tol)
     a = np.diag(le.values)
     for transform in chain:
-        a, _ = _rotate(a, transform)
+        # rows and columns past j are still 0 off the diagonal, and a_ij == 0
+        # keeps the rotation real, so it works in place on the leading block
+        _rotate(a[: transform.j + 1, : transform.j + 1], transform)
     return HermitianMatrix(a)
 
 

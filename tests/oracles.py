@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own computational paths: raw
 prefix-sum arithmetic, direct singular values, brute-force constraint
-checks, and tail integrals summed over a measure's atoms and pieces,
-so that every construction is judged by something it did not itself
-compute.
+checks, tail integrals summed over a measure's atoms and pieces, and
+plane rotations applied by gathering and scattering whole rows and
+columns, so that every construction is judged by something it did not
+itself compute.
 """
+
+import math
 
 import numpy as np
 
@@ -75,6 +78,28 @@ def reference_chain(lam, p):
         if abs(x[j] - pv[j]) <= snap:
             x[j] = pv[j]
     return steps
+
+
+def reference_rotate(a, transform):
+    """One mixing step by fancy-indexed gathers and scatters of rows and columns i, j.
+
+    Conjugates ``a`` in place (a complex copy when a real ``a`` needs the
+    phase) and returns it with the 2 x 2 block, as ``horn._rotate`` does.
+    """
+    i, j, t = transform.i, transform.j, transform.t
+    c = math.sqrt(t)
+    s = math.sqrt(max(0.0, 1.0 - t))
+    aij = a[i, j]
+    if s == 0.0 or aij == 0:
+        block = np.array([[c, s], [-s, c]])
+    else:
+        z = 1j * np.conj(aij) / abs(aij)
+        block = np.array([[z * c, s], [-z * s, c]])
+        a = a.astype(complex, copy=False)
+    idx = [i, j]
+    a[idx, :] = block @ a[idx, :]
+    a[:, idx] = a[:, idx] @ block.conj().T
+    return a, block
 
 
 def trace_norm(m):

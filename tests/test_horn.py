@@ -1,5 +1,7 @@
 """Prescribed spectrum/diagonal constructions and spectral alignment."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,41 @@ class TestTTransformChain:
             assert len(chain) <= n - 1
             end = apply_chain(lam.values, chain)
             assert np.max(np.abs(end - p.values)) <= 1e-10
+
+
+class TestTTransform:
+    def test_chain_steps_are_already_normalized(self):
+        rng = np.random.default_rng(47)
+        for n in (2, 5, 30, 200):
+            p, lam = random_majorizing_pair(rng, n)
+            for step in t_transform_chain(lam, p):
+                assert (type(step.i), type(step.j), type(step.t)) == (int, int, float)
+                again = TTransform(step.i, step.j, step.t)
+                assert (again.i, again.j, again.t) == (step.i, step.j, step.t)
+                assert math.copysign(1.0, again.t) == math.copysign(1.0, step.t)
+
+    def test_normalization(self):
+        step = TTransform(np.int64(2), np.int64(5), np.float64(0.25))
+        assert (type(step.i), type(step.j), type(step.t)) == (int, int, float)
+        assert (step.i, step.j, step.t) == (2, 5, 0.25)
+        for t, want in ((-1e-13, 0.0), (-0.0, 0.0), (0.0, 0.0), (1 + 1e-13, 1.0), (1, 1.0)):
+            got = TTransform(0, 1, t).t
+            assert type(got) is float and got == want
+            assert math.copysign(1.0, got) == 1.0
+
+    def test_rejections(self):
+        for i, j, t in (
+            (0, 1, 1.5),
+            (0, 1, float("nan")),
+            (0, 1, float("inf")),
+            (0, 1, -1e-11),
+            (1, 1, 0.5),
+            (2, 1, 0.5),
+            (-1, 1, 0.5),
+            (0.0, 1, 0.5),
+        ):
+            with pytest.raises(InvalidInput):
+                TTransform(i, j, t)
 
 
 class TestApplyTTransform:
@@ -229,6 +266,34 @@ class TestHornConstruct:
         assert len(couplings) > 100
         assert all(aij == 0 for aij in couplings)
         assert all(m.entries.dtype == np.float64 for m in built)
+
+    def test_rows_and_columns_past_j_are_zero_before_each_step(self, monkeypatch):
+        # what makes rotating only the leading block a[: j + 1, : j + 1] exact
+        rotate = horn_module._rotate
+        seen = []
+
+        def spy(a, transform):
+            full = a if a.base is None else a.base
+            off = full - np.diag(np.diag(full))
+            past = off[transform.j + 1 :].any() or off[:, transform.j + 1 :].any()
+            seen.append((full.shape[0], bool(past)))
+            return rotate(a, transform)
+
+        monkeypatch.setattr(horn_module, "_rotate", spy)
+        rng = np.random.default_rng(53)
+        builds = []
+        for n in (2, 3, 10, 60):
+            p, lam = random_majorizing_pair(rng, n)
+            builds.append((n, horn_construct, (lam, p)))
+        lam_r = np.sort(rng.uniform(0.5, 1.5, 9))[::-1]
+        mix = sum(w * rng.permutation(np.pad(lam_r, (0, 6))) for w in rng.dirichlet(np.ones(3)))
+        builds.append((15, realize_finite_rank, (lam_r, np.sort(mix)[::-1], 15)))
+        builds.append((12, projection_with_diagonal, (np.full(8, 0.5), 4, 12)))
+        for n, build, args in builds:
+            seen.clear()
+            build(*args)
+            assert seen and all(size == n for size, _ in seen)
+            assert not any(past for _, past in seen)
 
     def test_matches_folded_apply_t_transform_bit_for_bit(self):
         rng = np.random.default_rng(31)
