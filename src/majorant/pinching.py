@@ -42,14 +42,17 @@ def pinch_diag(matrix):
     return np.diag(np.diag(arr))
 
 
-def _evaluate(f: Callable[[float], float], points: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.array([float(f(x)) for x in points], dtype=float)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise InvalidInput(f"test function is not defined on the spectral interval: {exc}") from exc
+def _require_finite(vals: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise InvalidInput("test function is not finite on the spectral interval")
     return vals
+
+
+def _evaluate(f: Callable[[float], float], points: np.ndarray) -> np.ndarray:
+    try:
+        return _require_finite(np.array([float(f(x)) for x in points], dtype=float))
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidInput(f"test function is not defined on the spectral interval: {exc}") from exc
 
 
 def matrix_function(matrix: MatrixLike, f: Callable[[float], float]) -> HermitianMatrix:
@@ -65,14 +68,15 @@ def positive_part(matrix: MatrixLike) -> HermitianMatrix:
     return matrix_function(matrix, hinge(0.0))
 
 
-def _pinch_witnesses(A: HermitianMatrix, family: list[Callable[[float], float]]) -> list[float]:
-    """min over k of (f(A))_kk - f(a_kk) for each f, from one eigendecomposition.
-
-    With A = V diag(vals) V*, (f(A))_kk = sum_m |V_km|^2 f(vals_m).
+def _pinch_witnesses(A: HermitianMatrix, table: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """min over k of (f(A))_kk - f(a_kk) for each row f of ``table``, a map
+    from the points [eigenvalues, diagonal] to one row of values per test
+    function.  With A = V diag(vals) V*, (f(A))_kk = sum_m |V_km|^2 f(vals_m),
+    so all witnesses come from one eigendecomposition and one product.
     """
     vals, vecs = np.linalg.eigh(A.entries)
-    weights, diag = np.abs(vecs) ** 2, A.diagonal()
-    return [float(np.min(weights @ _evaluate(f, vals) - _evaluate(f, diag))) for f in family]
+    F = table(np.concatenate([vals, A.diagonal()]))
+    return np.min(np.abs(vecs) ** 2 @ F[:, : len(vals)].T - F[:, len(vals) :].T, axis=0)
 
 
 def convex_pinch_check(matrix: MatrixLike, f: Callable[[float], float]) -> tuple[bool, float]:
@@ -84,8 +88,8 @@ def convex_pinch_check(matrix: MatrixLike, f: Callable[[float], float]) -> tuple
     k of (f(A))_kk - f(a_kk).  For convex f it is nonnegative up to
     round-off; ``holds`` applies the standard slack.
     """
-    (witness,) = _pinch_witnesses(as_hermitian(matrix), [f])
-    return witness >= -WITNESS_TOL, witness
+    (witness,) = _pinch_witnesses(as_hermitian(matrix), lambda p: _evaluate(f, p)[None])
+    return bool(witness >= -WITNESS_TOL), float(witness)
 
 
 def schur_distribution_check(matrix: MatrixLike) -> bool:
@@ -142,25 +146,34 @@ def align_step_functions(
 # -- randomized experiment runner ------------------------------------------
 
 
+def _draw_family(rng: np.random.Generator, hinges: int = 3) -> tuple:
+    """Parameters of the convex test family: hinge anchors ts, and a, b, rs,
+    cs of the cone element a + b*x + sum c_k * max(x - r_k, 0)."""
+    ts = rng.uniform(-2.0, 2.0, size=hinges)
+    a, b = rng.normal(size=2)
+    return ts, float(a), float(b), rng.uniform(-2.0, 2.0, size=3), rng.uniform(0.0, 2.0, size=3)
+
+
 def default_convex_family(rng: np.random.Generator, hinges: int = 3) -> list[Callable[[float], float]]:
     """Convex test functions: square, absolute value, exp, random hinges,
     and one random element of the cone a + b*x + sum c_k * max(x - r_k, 0)."""
-    family: list[Callable[[float], float]] = [
+    ts, a, b, rs, cs = _draw_family(rng, hinges)
+    return [
         lambda x: x * x,
         abs,
         math.exp,
+        *(hinge(float(t)) for t in ts),
+        lambda x: a + b * x + sum(c * max(x - r, 0.0) for r, c in zip(rs, cs)),
     ]
-    for t in rng.uniform(-2.0, 2.0, size=hinges):
-        family.append(hinge(float(t)))
-    a, b = rng.normal(size=2)
-    rs = rng.uniform(-2.0, 2.0, size=3)
-    cs = rng.uniform(0.0, 2.0, size=3)
-    family.append(
-        lambda x, a=float(a), b=float(b), rs=tuple(rs), cs=tuple(cs): a
-        + b * x
-        + sum(c * max(x - r, 0.0) for r, c in zip(rs, cs))
-    )
-    return family
+
+
+def _family_table(params: tuple, points: np.ndarray) -> np.ndarray:
+    """Rows: hinge(0), then default_convex_family's functions in order, on points."""
+    ts, a, b, rs, cs = params
+    hinged = np.maximum(points - np.concatenate([[0.0], ts, rs])[:, None], 0.0)
+    cone = a + b * points + (cs[:, None] * hinged[len(ts) + 1 :]).sum(axis=0)
+    table = [hinged[0], points * points, np.abs(points), np.exp(points), *hinged[1 : len(ts) + 1], cone]
+    return _require_finite(np.array(table))
 
 
 def pinch_experiment(n: int, trials: int, seed: int) -> dict:
@@ -169,13 +182,17 @@ def pinch_experiment(n: int, trials: int, seed: int) -> dict:
     Draws ``trials`` random self-adjoint n x n matrices and records the
     worst witness of (a) the positive-part inequality E(A)_+ <= E(A_+)
     and (b) the convexity inequality over a per-trial test family.  (a)
-    is (b) for the hinge max(x, 0), so a trial needs one eigendecomposition.
-    The report is a plain dict ready for JSON emission; ``min_witness``
-    staying above -1e-9 is the pass condition.
+    is (b) for the hinge max(x, 0).  The family is drawn as by
+    ``default_convex_family`` but evaluated on arrays, so a trial costs
+    one eigendecomposition, one table and one matrix product.  The report
+    is a plain dict ready for JSON emission; ``min_witness`` staying above
+    -1e-9 is the pass condition.
     """
+    if not all(isinstance(v, (int, np.integer)) for v in (n, trials, seed)):
+        raise InvalidInput("n, trials and seed must be integers")
     if n < 1 or trials < 1:
         raise InvalidInput("need n >= 1 and trials >= 1")
-    if not 0 <= int(seed) < 2**64:
+    if not 0 <= seed < 2**64:
         raise InvalidInput("seed must fit in an unsigned 64-bit integer")
     rng = np.random.default_rng(int(seed))
     min_pos = math.inf
@@ -183,10 +200,11 @@ def pinch_experiment(n: int, trials: int, seed: int) -> dict:
     convex_checks = 0
     for _ in range(trials):
         A = random_hermitian(rng, n)
-        pos, *convex = _pinch_witnesses(A, [hinge(0.0), *default_convex_family(rng)])
-        min_pos = min(min_pos, pos)
-        min_convex = min(min_convex, *convex)
-        convex_checks += len(convex)
+        params = _draw_family(rng)
+        witnesses = _pinch_witnesses(A, lambda p: _family_table(params, p))
+        min_pos = min(min_pos, float(witnesses[0]))
+        min_convex = min(min_convex, float(witnesses[1:].min()))
+        convex_checks += len(witnesses) - 1
     overall = min(min_pos, min_convex)
     return {
         "seed": int(seed),

@@ -1,5 +1,7 @@
 """Diagonal compression, its convexity inequalities, and cell alignment."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from majorant import (
     positive_part,
     schur_distribution_check,
 )
-from majorant.pinching import default_convex_family
+from majorant.eigenlists import hinge
+from majorant.pinching import _draw_family, _family_table, _pinch_witnesses, default_convex_family
 from majorant.sampling import random_hermitian
 
 FLIP = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -218,3 +221,73 @@ class TestPinchExperiment:
             checks = report["checks"]
             assert checks["positive_part"]["min_witness"] == pytest.approx(min_pos, abs=1e-12)
             assert checks["convex_family"]["min_witness"] == pytest.approx(min_convex, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, trials, seed", [(2.5, 3, 1), (3, 2.5, 1), (3, 3, 3.7), (3, 3, "5"), (None, 3, 1)]
+    )
+    def test_non_integer_arguments_rejected(self, n, trials, seed):
+        with pytest.raises(InvalidInput):
+            pinch_experiment(n, trials, seed)
+
+    def test_numpy_integers_accepted(self):
+        report = pinch_experiment(np.int64(4), np.uint8(3), np.uint64(2**64 - 1))
+        assert report == pinch_experiment(4, 3, 2**64 - 1)
+        assert type(report["seed"]) is int
+
+
+class TestFamilyTable:
+    """The sweep's array table and default_convex_family's callables are one family."""
+
+    STATES = [(seed, skip) for seed in (0, 1, 29, 2**40 + 3) for skip in (0, 1, 7)]
+
+    @staticmethod
+    def _twins(seed, skip):
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        for rng in rngs:
+            rng.normal(size=skip)
+        return rngs
+
+    @pytest.mark.parametrize("seed, skip", STATES)
+    def test_same_draws_in_the_same_order(self, seed, skip):
+        helper_rng, family_rng, reference_rng = self._twins(seed, skip)
+        ts, a, b, rs, cs = _draw_family(helper_rng)
+        default_convex_family(family_rng)
+        assert helper_rng.bit_generator.state == family_rng.bit_generator.state
+        np.testing.assert_array_equal(ts, reference_rng.uniform(-2.0, 2.0, 3))
+        assert [a, b] == list(reference_rng.normal(size=2))
+        np.testing.assert_array_equal(rs, reference_rng.uniform(-2.0, 2.0, 3))
+        np.testing.assert_array_equal(cs, reference_rng.uniform(0.0, 2.0, 3))
+        assert helper_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed, skip", STATES)
+    def test_rows_equal_the_callables_point_by_point(self, seed, skip):
+        helper_rng, family_rng, _ = self._twins(seed, skip)
+        params = _draw_family(helper_rng)
+        family = default_convex_family(family_rng)
+        ts, a, b, rs, cs = params
+        a_matrix = random_hermitian(np.random.default_rng(seed), 12)
+        points = np.concatenate(
+            [np.linalg.eigvalsh(a_matrix.entries), a_matrix.diagonal(), ts, rs, [0.0, -3.5, 4.25]]
+        )
+        table = _family_table(params, points)
+        assert table.shape == (len(family) + 1, len(points))
+        assert table[0].tobytes() == np.array([hinge(0.0)(x) for x in points]).tobytes()
+        for k, f in enumerate(family, start=1):
+            expected = np.array([f(x) for x in points], dtype=float)
+            if f is math.exp:
+                np.testing.assert_array_max_ulp(table[k], expected, maxulp=1)
+            else:
+                assert table[k].tobytes() == expected.tobytes(), f"row {k}"
+        # the cone element keeps its affine part a + b*x
+        below = points < min(rs)
+        np.testing.assert_array_equal(table[-1][below], a + b * points[below])
+
+    def test_overflow_is_rejected_not_returned(self):
+        params = _draw_family(np.random.default_rng(3))
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidInput):
+                _family_table(params, np.array([0.0, 1000.0]))
+            with pytest.raises(InvalidInput):
+                _pinch_witnesses(
+                    HermitianMatrix(np.diag([800.0, 0.0])), lambda p: _family_table(params, p)
+                )
