@@ -187,10 +187,12 @@ def reduce_to_equality(p: ListLike, lam: ListLike, tol: float = DEFAULT_TOL) -> 
     if not check_majorization(pv, lv, "dominance", tol).holds:
         raise MajorizationViolation("prefix sums of p must be dominated by those of lam")
     n = pv.size
-    mu = np.array([pv[0]])
+    # buf[:k] is the length-k iterate; buf[k - 1] is still the appended zero
+    buf = np.zeros(n)
+    buf[0] = pv[0]
     target = pv[0]
     for k in range(2, n + 1):
-        x = np.append(mu, 0.0)
+        x = buf[:k]
         y = lv[:k]
         target += pv[k - 1]
         fx, fy = x.sum(), y.sum()
@@ -198,8 +200,9 @@ def reduce_to_equality(p: ListLike, lam: ListLike, tol: float = DEFAULT_TOL) -> 
             s = 0.0
         else:
             s = min(1.0, max(0.0, (target - fx) / (fy - fx)))
-        mu = (1.0 - s) * x + s * y
-    return EigenList(mu, tolerance=max(MONOTONE_TOL, tol))
+        x *= 1.0 - s
+        x += s * y
+    return EigenList(buf, tolerance=max(MONOTONE_TOL, tol))
 
 
 def hlp_convex_check(

@@ -11,7 +11,12 @@ pivots of the chain only move right, so before a step (i, j) no row or
 column past j has been rotated and, off the diagonal, they are still
 exactly 0.  Rotating the leading block a[: j + 1, : j + 1] alone is
 therefore exact: the full rotation would recompute the rest of rows and
-columns i and j from those zeros as the same zeros.  Also provides the
+columns i and j from those zeros as the same zeros.  The rotation
+blocks of a chain are built once, in one vectorized pass over its
+weights, and each step then costs two products on strided views.  The
+product of a chain's rotations is an eigenframe of its construction
+(``horn_frame``), so a caller that needs the eigenvectors of a
+construction gets them without an eigensolve.  Also provides the
 top-k eigenvalue sums (the trace maximum over rank-k projections) and
 spectral alignment of two matrices with entrywise-close spectra.
 """
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -153,15 +158,11 @@ class TTransform:
         return {"i": self.i, "j": self.j, "t": self.t}
 
 
-def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> list[TTransform]:
-    """Mixing chain carrying the list ``lam`` onto the list ``p``.
+def _mixing_steps(lam: ListLike, p: ListLike, tol: float) -> tuple[list[int], list[int], np.ndarray]:
+    """Pivots i < j and weights t of the mixing chain carrying ``lam`` onto ``p``.
 
-    Requires p to be majorized by lam with equal totals.  Uses the
-    classical pivot rule: locate the first coordinate still above its
-    target and the first later coordinate below its target, and transfer
-    as much as one of them needs.  Each step finalizes at least one
-    coordinate, so at most n-1 steps are produced.  A step moves only x_i
-    and x_j, each towards its target, so both pivots only move right.
+    The rule of ``t_transform_chain``, with each t clamped into [0, 1]
+    as ``TTransform`` clamps it.
     """
     le, pe = as_eigenlist(lam), as_eigenlist(p)
     if len(le) != len(pe):
@@ -172,7 +173,9 @@ def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> l
     pv = pe.values.tolist()
     n = len(x)
     snap = 1e-12 * max(1.0, float(np.max(np.abs(le.values))))
-    chain: list[TTransform] = []
+    pivots_i: list[int] = []
+    pivots_j: list[int] = []
+    weights: list[float] = []
     i = j = 0
     for _ in range(n - 1):
         while i < n and x[i] - pv[i] <= snap:
@@ -183,8 +186,9 @@ def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> l
         if j >= n:
             break
         delta = min(x[i] - pv[i], pv[j] - x[j])
-        t = 1.0 - delta / (x[i] - x[j])
-        chain.append(TTransform(i, j, t))
+        pivots_i.append(i)
+        pivots_j.append(j)
+        weights.append(1.0 - delta / (x[i] - x[j]))
         x[i] -= delta
         x[j] += delta
         # pin the coordinate that just reached its target, so later
@@ -193,31 +197,58 @@ def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> l
             x[i] = pv[i]
         if abs(x[j] - pv[j]) <= snap:
             x[j] = pv[j]
-    return chain
+    t = np.array(weights, dtype=float)
+    if not np.all(t >= -1e-12):
+        raise InvalidInput("mixing weight t must lie in [0, 1]")
+    return pivots_i, pivots_j, np.minimum(1.0, np.maximum(0.0, t))
 
 
-def _rotate(a: np.ndarray, transform: TTransform) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate ``a``, rows and columns i and j only, by one mixing step.
+def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> list[TTransform]:
+    """Mixing chain carrying the list ``lam`` onto the list ``p``.
 
-    Returns the rotated array (``a`` itself unless a real ``a`` needs the
-    phase) and the 2 x 2 block.  A phase z with z * a_ij purely imaginary,
-    needed only when a_ij != 0, makes the cross terms drop out of the diagonal.
+    Requires p to be majorized by lam with equal totals.  Uses the
+    classical pivot rule: locate the first coordinate still above its
+    target and the first later coordinate below its target, and transfer
+    as much as one of them needs.  Each step finalizes at least one
+    coordinate, so at most n-1 steps are produced.  A step moves only x_i
+    and x_j, each towards its target, so both pivots only move right.
     """
-    i, j, t = transform.i, transform.j, transform.t
-    c = math.sqrt(t)
-    s = math.sqrt(max(0.0, 1.0 - t))
-    aij = a[i, j]
-    if s == 0.0 or aij == 0:
-        block = np.array([[c, s], [-s, c]])
-    else:
-        z = 1j * np.conj(aij) / abs(aij)
-        block = np.array([[z * c, s], [-z * s, c]])
-        a = a.astype(complex, copy=False)
+    pivots_i, pivots_j, t = _mixing_steps(lam, p, tol)
+    return list(map(TTransform, pivots_i, pivots_j, t.tolist()))
+
+
+class _Step(NamedTuple):
+    """One rotation: rows and columns i < j and the 2 x 2 block acting on them."""
+
+    i: int
+    j: int
+    block: np.ndarray
+
+
+def _rotation_blocks(t: np.ndarray) -> np.ndarray:
+    """Blocks [[c, s], [-s, c]], c = sqrt(t) and s = sqrt(1 - t), for every t in [0, 1].
+
+    ``np.sqrt`` is correctly rounded, so each block equals the one built
+    from ``math.sqrt`` bit for bit.
+    """
+    c = np.sqrt(t)
+    s = np.sqrt(1.0 - t)
+    return np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
+
+
+def _chain_steps(lam: ListLike, p: ListLike, tol: float) -> list[_Step]:
+    """The rotations of the mixing chain, every block built in one pass."""
+    pivots_i, pivots_j, t = _mixing_steps(lam, p, tol)
+    return list(map(_Step, pivots_i, pivots_j, _rotation_blocks(t)))
+
+
+def _rotate(a: np.ndarray, step: _Step) -> None:
+    """Conjugate ``a`` in place, rows and columns i and j only, by ``step.block``."""
+    i, j, block = step
     rows = a[i : j + 1 : j - i]
     rows[...] = block @ rows
     cols = a[:, i : j + 1 : j - i]
     cols[...] = cols @ block.conj().T
-    return a, block
 
 
 def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.ndarray, HermitianMatrix]:
@@ -226,15 +257,27 @@ def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.nda
     Returns (U, U A U*) where U is unitary, equal to the identity except
     in rows/columns i and j, and the diagonal of the result is the mixed
     diagonal t*d + (1-t)*(d with entries i, j swapped).  Both keep A's dtype unless
-    the rotation needs a complex phase.
+    the rotation needs a complex phase: a phase z with z * a_ij purely
+    imaginary, needed only when a_ij != 0, makes the cross terms drop out
+    of the diagonal.
     """
     A = as_hermitian(matrix)
-    i, j = transform.i, transform.j
+    i, j, t = transform.i, transform.j, transform.t
     if j >= A.dim:
         raise InvalidInput("transposition index out of range for this matrix")
-    result, block = _rotate(A.entries.copy(), transform)
+    c = math.sqrt(t)
+    s = math.sqrt(max(0.0, 1.0 - t))
+    aij = A.entries[i, j]
+    if s == 0.0 or aij == 0:
+        block = np.array([[c, s], [-s, c]])
+        result = A.entries.copy()
+    else:
+        z = 1j * np.conj(aij) / abs(aij)
+        block = np.array([[z * c, s], [-z * s, c]])
+        result = A.entries.astype(complex)
+    _rotate(result, _Step(i, j, block))
     U = np.eye(A.dim, dtype=result.dtype)
-    U[np.ix_([i, j], [i, j])] = block
+    U[i : j + 1 : j - i, i : j + 1 : j - i] = block
     return U, HermitianMatrix(result)
 
 
@@ -247,13 +290,29 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> Herm
     moves while the diagonal walks to p.  Only the finished matrix is validated.
     """
     le = as_eigenlist(lam)
-    chain = t_transform_chain(le, p, tol)
     a = np.diag(le.values)
-    for transform in chain:
+    for step in _chain_steps(le, p, tol):
         # rows and columns past j are still 0 off the diagonal, and a_ij == 0
         # keeps the rotation real, so it works in place on the leading block
-        _rotate(a[: transform.j + 1, : transform.j + 1], transform)
+        _rotate(a[: step.j + 1, : step.j + 1], step)
     return HermitianMatrix(a)
+
+
+def horn_frame(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Real orthogonal Q with Q diag(lam) Q^T = ``horn_construct(lam, p)`` up to round-off.
+
+    Q is the product of the chain's rotations: each step applies the row
+    half of its rotation to the identity.  Column k of Q is therefore an
+    eigenvector of the construction for lam_k, without an eigensolve.
+    Rows and columns past j are still those of the identity before a
+    step (i, j), so each step touches only columns 0..j.
+    """
+    le = as_eigenlist(lam)
+    q = np.eye(len(le))
+    for i, j, block in _chain_steps(le, p, tol):
+        rows = q[i : j + 1 : j - i, : j + 1]
+        rows[...] = block @ rows
+    return q
 
 
 def ky_fan_sum(matrix: MatrixLike, k: int) -> float:

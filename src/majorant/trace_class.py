@@ -20,7 +20,7 @@ from .eigenlists import (
     reduce_to_equality,
 )
 from .errors import InvalidInput, TraceMismatch
-from .horn import HermitianMatrix, MatrixLike, as_hermitian, eigh_desc, horn_construct
+from .horn import HermitianMatrix, MatrixLike, as_hermitian, eigh_desc, horn_construct, horn_frame
 
 #: slack allowed when testing nonnegativity of inputs that came out of a solver
 NEGATIVITY_TOL = 1e-12
@@ -79,8 +79,10 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DEFAULT_T
     of totals needed).  The witness is built in three moves: reduce the
     top eigenvalues to a list mu with matching total, realize mu with
     diagonal p inside the top-r eigenspace, then shrink each column so
-    the quadratic form lands exactly on p.  All of it runs in the dtype
-    of A, so L is real for a real A.
+    the quadratic form lands exactly on p.  The realization's eigenframe
+    is the product of its chain's rotations, so the only eigensolve is
+    the one of A.  All of it runs in the dtype of A, so L is real for a
+    real A.
     """
     A = as_hermitian(matrix)
     pe = as_eigenlist(p)
@@ -93,11 +95,10 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DEFAULT_T
         raise InvalidInput("matrix must be positive semidefinite")
     lam_top = EigenList(np.maximum(evals[:r], 0.0), tolerance=1e-9)
     mu = reduce_to_equality(pe, lam_top, tol)
-    core = horn_construct(mu, pe, tol)
-    _, frame = eigh_desc(core.entries.astype(A.entries.dtype))
-    # rows of the eigenvector matrix give orthonormal vectors whose
-    # quadratic form against diag(mu) is exactly the diagonal of `core`
-    V = evecs[:, :r] @ frame.conj().T
+    # the core matrix horn_construct(mu, p) is Q diag(mu) Q^T for the real
+    # orthogonal product Q of its chain's rotations, so the rows of Q give
+    # orthonormal vectors whose quadratic form against diag(mu) is p
+    V = evecs[:, :r] @ horn_frame(mu, pe, tol).T
     quad = np.real(np.einsum("ij,ij->j", V.conj(), A.entries @ V))
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(quad > NEGATIVITY_TOL, pe.values / np.maximum(quad, NEGATIVITY_TOL), 0.0)

@@ -2,10 +2,10 @@
 
 These deliberately avoid the library's own computational paths: raw
 prefix-sum arithmetic, direct singular values, brute-force constraint
-checks, tail integrals summed over a measure's atoms and pieces, and
-plane rotations applied by gathering and scattering whole rows and
-columns, so that every construction is judged by something it did not
-itself compute.
+checks, tail integrals summed over a measure's atoms and pieces, the
+reduction loop on freshly appended arrays, and plane rotations applied
+by gathering and scattering whole rows and columns, so that every
+construction is judged by something it did not itself compute.
 """
 
 import math
@@ -35,6 +35,31 @@ def validate_reduction(p, lam, mu, tol=1e-11):
     if not prefix_dominates(mu, p, tol):
         return False
     return abs(mu.sum() - p.sum()) <= tol
+
+
+def reference_reduce_to_equality(p, lam):
+    """The reduction's inductive loop on freshly appended arrays.
+
+    Both lists are zero-padded to a common length; each step appends a
+    zero to the previous iterate and moves it towards lam[:k] until the
+    total hits p's length-k total.
+    """
+    p, lam = np.asarray(p, float), np.asarray(lam, float)
+    n = max(p.size, lam.size)
+    pv, lv = np.pad(p, (0, n - p.size)), np.pad(lam, (0, n - lam.size))
+    mu = np.array([pv[0]])
+    target = pv[0]
+    for k in range(2, n + 1):
+        x = np.append(mu, 0.0)
+        y = lv[:k]
+        target += pv[k - 1]
+        fx, fy = x.sum(), y.sum()
+        if fy <= fx:
+            s = 0.0
+        else:
+            s = min(1.0, max(0.0, (target - fx) / (fy - fx)))
+        mu = (1.0 - s) * x + s * y
+    return mu
 
 
 def apply_chain(start, chain):

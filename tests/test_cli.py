@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file round trips, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -206,3 +207,44 @@ class TestPinchExperimentCommand:
         value = out.split('"min_witness": ')[1].split(",")[0]
         mantissa = value.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
         assert len(mantissa) >= 16  # 17 significant digits requested
+
+
+class TestConstructionOutputIsPinned:
+    """SHA-256 of the JSON that construction commands print, as version 0.1.0 printed it.
+
+    Constructions are bit-identical from release to release (README
+    "Numerical conventions"); any change to these digests is a change
+    of output, not of speed.
+    """
+
+    CASES = [
+        pytest.param(
+            ("construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]"),
+            "395d2d7cc5d46fe83f06281c0bff33c40e16fe86214970a39582282b2034cc7d",
+            id="construct",
+        ),
+        pytest.param(
+            ("construct", "--lambda", "[1]", "--p", "[0.5, 0.5]", "--truncate", "4"),
+            "8b2c152111697ea07ec390e2067aca5007680a40d4f8e6e4a5b0b9da99364923",
+            id="construct-truncate",
+        ),
+        pytest.param(
+            ("projection", "--p", "[0.5, 0.5]", "--rank", "1", "--truncate", "2"),
+            "3c52f26df125ce98fb11acc8290197d3b0228dc404cb20a1bd00cca442d45b20",
+            id="projection",
+        ),
+        pytest.param(
+            ("projection", "--p", "[0.75, 0.75, 0.25, 0.25]", "--rank", "2", "--truncate", "4"),
+            "30460cfb402bf905bda290db0e7226fcf0fefcca33647d67713203203fcd15e5",
+            id="projection-rank-2",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", CASES)
+    def test_stdout_and_file_digests(self, capsys, tmp_path, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        out_file = tmp_path / "out.json"
+        assert run(capsys, *argv, "-o", str(out_file))[0] == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest

@@ -14,9 +14,9 @@ from majorant import (
     normalize_list,
     reduce_to_equality,
 )
-from majorant.sampling import random_hermitian, random_majorizing_pair
+from majorant.sampling import random_dominance_pair, random_hermitian, random_majorizing_pair
 
-from oracles import validate_reduction
+from oracles import reference_reduce_to_equality, validate_reduction
 
 
 class TestNormalize:
@@ -148,6 +148,16 @@ class TestReduceToEquality:
             assert validate_reduction(p, lam, mu.values)
             # p is majorized by mu with equal totals
             assert check_majorization(p, mu, "equality", 1e-10).holds
+
+    def test_matches_appending_reference_byte_for_byte(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 201):
+            for r in (None, int(rng.integers(1, n + 1))):
+                p, lam = random_dominance_pair(rng, n, r=r)
+                mu = reduce_to_equality(p, lam).values
+                want = reference_reduce_to_equality(p.values, lam.values)
+                assert mu.dtype == want.dtype and mu.shape == want.shape == (n,)
+                assert mu.tobytes() == want.tobytes()
 
 
 class TestHlpConvexCheck:

@@ -295,6 +295,15 @@ class TestHornConstruct:
             assert seen and all(size == n for size, _ in seen)
             assert not any(past for _, past in seen)
 
+    def test_vectorized_blocks_equal_math_sqrt_blocks(self):
+        rng = np.random.default_rng(59)
+        t = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0], rng.uniform(size=1000)])
+        blocks = horn_module._rotation_blocks(t)
+        assert blocks.shape == (t.size, 2, 2) and blocks.dtype == np.float64
+        for tk, block in zip(t.tolist(), blocks):
+            c, s = math.sqrt(tk), math.sqrt(max(0.0, 1.0 - tk))
+            assert block.tobytes() == np.array([[c, s], [-s, c]]).tobytes()
+
     def test_matches_folded_apply_t_transform_bit_for_bit(self):
         rng = np.random.default_rng(31)
         for n in (2, 3, 5, 8, 13, 21, 34, 60):

@@ -15,7 +15,9 @@ from majorant import (
     normalize_list,
     projection_with_diagonal,
     realize_finite_rank,
+    reduce_to_equality,
 )
+from majorant.horn import horn_frame
 from majorant.sampling import random_dominance_pair, random_psd
 
 from oracles import op_norm, trace_norm
@@ -133,6 +135,38 @@ class TestContractionDiagonal:
                 got = np.diag(L.conj().T @ entries @ L).real
                 assert np.max(np.abs(got - np.pad(p.values, (0, n - r)))) <= 1e-9
                 assert op_norm(L) <= 1 + 1e-12
+
+    def test_chain_frame_diagonalizes_the_core(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 10, 60, 200):
+            for r in (n, max(1, n // 3)):
+                p, lam = random_dominance_pair(rng, n, r=r)
+                mu = reduce_to_equality(p, lam.values[:r])
+                q = horn_frame(mu, p)
+                assert q.dtype == np.float64 and q.shape == (r, r)
+                assert np.max(np.abs(q @ q.T - np.eye(r))) <= 1e-13
+                core = horn_construct(mu, p).entries
+                scale = float(np.max(np.abs(mu.values)))
+                assert np.max(np.abs(q @ np.diag(mu.values) @ q.T - core)) <= 1e-12 * scale
+
+    def test_one_eigensolve_per_contraction(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _solver=solver, _name=name, **kwargs):
+                calls[_name] += 1
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(17)
+        p, lam = random_dominance_pair(rng, 30, r=12)
+        a = horn_construct(lam, np.full(30, lam.total() / 30))
+        for entries in (a.entries, a.entries.astype(complex)):
+            matrix = HermitianMatrix(entries)
+            calls.update(eigh=0, eigvalsh=0)
+            contraction_diagonal(matrix, p)
+            assert calls == {"eigh": 1, "eigvalsh": 0}
 
     def test_dominance_violation_rejected(self):
         with pytest.raises(MajorizationViolation):
