@@ -36,6 +36,14 @@ from .errors import DistributionMismatch, InvalidInput, MajorizationViolation
 HERMITIAN_TOL = 1e-12
 
 
+def _check_self_adjoint(arr: np.ndarray) -> None:
+    """Finite and self-adjoint within HERMITIAN_TOL; ``arr`` may be a stack of matrices."""
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput("matrix entries must be finite")
+    if np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
+        raise InvalidInput("matrix is not self-adjoint within tolerance")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """Dense self-adjoint matrix: float64 entries for real input, complex128 otherwise."""
@@ -46,10 +54,7 @@ class HermitianMatrix:
         arr = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InvalidInput("matrix must be square and nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("matrix entries must be finite")
-        if np.max(np.abs(arr - arr.conj().T)) > HERMITIAN_TOL:
-            raise InvalidInput("matrix is not self-adjoint within tolerance")
+        _check_self_adjoint(arr)
         object.__setattr__(self, "entries", _readonly_copy(arr))
 
     @property

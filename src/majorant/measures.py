@@ -310,7 +310,8 @@ def _decisive_thresholds(m: CompactMeasure, n: CompactMeasure) -> np.ndarray:
     crosses zero; the first break is at or below both supports, where each
     tail is the mean minus the threshold.
     """
-    x = np.union1d(m._x, n._x)
+    x = np.sort(np.concatenate([m._x, n._x]))
+    x = x[np.append(True, x[1:] != x[:-1])]
     mids = 0.5 * (x[:-1] + x[1:])
     (jm, hm, dm), (jn, hn, dn) = _locate(m, mids), _locate(n, mids)
     diff = m._above[jm] + dm * hm - n._above[jn] - dn * hn

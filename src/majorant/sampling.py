@@ -21,11 +21,15 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _hermitian_entries(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+    """Entries of ``random_hermitian``: (z + z*) * scale / (2 sqrt n), exactly self-adjoint."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (z + z.conj().T) * (scale / (2.0 * np.sqrt(n)))
+
+
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> HermitianMatrix:
     """Self-adjoint matrix with spectrum of order ``scale`` for any n."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = (z + z.conj().T) * (scale / (2.0 * np.sqrt(n)))
-    return HermitianMatrix(h)
+    return HermitianMatrix(_hermitian_entries(rng, n, scale))
 
 
 def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> HermitianMatrix:

@@ -5,12 +5,16 @@ prefix-sum arithmetic, direct singular values, brute-force constraint
 checks, tail integrals summed over a measure's atoms and pieces, the
 reduction loop on freshly appended arrays, and plane rotations applied
 by gathering and scattering whole rows and columns, so that every
-construction is judged by something it did not itself compute.
+construction is judged by something it did not itself compute.  The
+pinching sweep is judged by its trial-at-a-time form.
 """
 
 import math
 
 import numpy as np
+
+from majorant.pinching import WITNESS_TOL, _draw_family, _family_table, _pinch_witnesses
+from majorant.sampling import random_hermitian
 
 
 def prefix_dominates(upper, lower, tol=1e-12):
@@ -173,3 +177,34 @@ def decreasing_grid_lists(length, grid):
 
     extend([], 0)
     return out
+
+
+def reference_pinch_experiment(n, trials, seed, record=None):
+    """``pinch_experiment`` one trial at a time: one matrix, one family, one
+    eigendecomposition and one product per trial, folded into the report.
+    Each trial's witness row is appended to ``record`` when one is given."""
+    rng = np.random.default_rng(seed)
+    min_pos = min_convex = math.inf
+    convex_checks = 0
+    for _ in range(trials):
+        a = random_hermitian(rng, n)
+        params = _draw_family(rng)
+        witnesses = _pinch_witnesses(a, lambda p: _family_table(params, p))
+        if record is not None:
+            record.append(witnesses)
+        min_pos = min(min_pos, float(witnesses[0]))
+        min_convex = min(min_convex, float(witnesses[1:].min()))
+        convex_checks += len(witnesses) - 1
+    overall = min(min_pos, min_convex)
+    return {
+        "seed": seed,
+        "n": n,
+        "trials": trials,
+        "checks": {
+            "positive_part": {"count": trials, "min_witness": min_pos},
+            "convex_family": {"count": convex_checks, "min_witness": min_convex},
+        },
+        "min_witness": overall,
+        "max_violation": max(0.0, -overall),
+        "holds": bool(overall >= -WITNESS_TOL),
+    }

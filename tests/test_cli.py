@@ -248,3 +248,31 @@ class TestConstructionOutputIsPinned:
         out_file = tmp_path / "out.json"
         assert run(capsys, *argv, "-o", str(out_file))[0] == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+class TestPinchExperimentOutputIsPinned:
+    """SHA-256 of what ``pinch-experiment`` prints, as the trial-at-a-time sweep printed it.
+
+    Blocks of trials change the cost of the sweep, not its report: the
+    README call runs through many blocks and must print the same bytes.
+    """
+
+    CASES = [
+        pytest.param(
+            ("--n", "20", "--trials", "1000", "--seed", "7"),
+            "b77d24c97a277a9c45f075404bd13ec1a5aead4267081b31369d79151f03ba32",
+            id="readme",
+        ),
+        pytest.param(
+            ("--n", "3", "--trials", "5", "--seed", "2"),
+            "4cf9a0a99e905e455dbc7f37aefa1e6ca70da4e174cd71dbf02cec2735cf6e5b",
+            id="small",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", CASES)
+    def test_stdout_digest(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("MAJORANT_SEED", raising=False)
+        code, out, _ = run(capsys, "pinch-experiment", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,7 +1,14 @@
 """Measures, tail integrals, the spread order and quantile transport."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import majorant
 
 from majorant import (
     CompactMeasure,
@@ -312,6 +319,24 @@ class TestMajorizeMeasure:
                     assert classical == bridged
                     checked += 1
         assert checked >= 40
+
+
+def test_order_decision_leaves_numpy_ma_unimported():
+    # importing numpy.ma costs a CLI process about 15 ms; np.union1d pulls it in
+    code = (
+        "import sys\n"
+        "from majorant import CompactMeasure, majorize_measure\n"
+        "m = CompactMeasure(atoms=((0.0, 0.5), (1.0, 0.5)))\n"
+        "n = CompactMeasure(atoms=((-1.0, 0.25), (2.0, 0.25)), pieces=((0.0, 1.0, 0.5),))\n"
+        "for method in ('hinge', 'survivor', 'convex_family'):\n"
+        "    majorize_measure(m, n, method)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(majorant.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestQuantileTransport:

@@ -1,6 +1,7 @@
 """Diagonal compression, its convexity inequalities, and cell alignment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from majorant import (
     positive_part,
     schur_distribution_check,
 )
+from majorant import pinching
 from majorant.eigenlists import hinge
 from majorant.pinching import _draw_family, _family_table, _pinch_witnesses, default_convex_family
 from majorant.sampling import random_hermitian
+
+from oracles import reference_pinch_experiment
 
 FLIP = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -291,3 +295,74 @@ class TestFamilyTable:
                 _pinch_witnesses(
                     HermitianMatrix(np.diag([800.0, 0.0])), lambda p: _family_table(params, p)
                 )
+
+
+def bits(report):
+    """The report with every float spelled out to the bit."""
+    if isinstance(report, dict):
+        return {key: bits(value) for key, value in report.items()}
+    return report.hex() if isinstance(report, float) else report
+
+
+class TestBlockedSweep:
+    """Blocks of trials give the trial-at-a-time reports bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 20, 50])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+    def test_reports_equal_the_reference_loop(self, n, seed):
+        trials = 12 if n < 50 else 4
+        assert bits(pinch_experiment(n, trials, seed)) == bits(
+            reference_pinch_experiment(n, trials, seed)
+        )
+
+    @pytest.mark.parametrize("n, trials, budget", [(3, 10, 4 * 9), (20, 45, None)])
+    def test_every_witness_equals_the_reference_loop(self, monkeypatch, n, trials, budget):
+        # reports keep only minima; every trial's witness row must match too
+        blocked, reference = [], []
+        witnesses = pinching._pinch_witnesses
+
+        def spy(A, table):
+            rows = witnesses(A, table)
+            blocked.extend(rows)
+            return rows
+
+        monkeypatch.setattr(pinching, "_pinch_witnesses", spy)
+        if budget is not None:
+            monkeypatch.setattr(pinching, "BLOCK_ENTRIES", budget)
+        pinch_experiment(n, trials, 4)
+        reference_pinch_experiment(n, trials, 4, record=reference)
+        assert len(blocked) == trials
+        assert np.array(blocked).tobytes() == np.array(reference).tobytes()
+
+    @pytest.mark.parametrize("n, per_block", [(1, 3), (3, 2), (7, 3), (7, 1)])
+    def test_trial_counts_around_block_boundaries(self, monkeypatch, n, per_block):
+        monkeypatch.setattr(pinching, "BLOCK_ENTRIES", n * n * per_block + n * n - 1)
+        around = {1, per_block - 1, per_block, per_block + 1, 2 * per_block, 3 * per_block + 1}
+        for trials in sorted(around - {0}):
+            for seed in (1, 9):
+                assert bits(pinch_experiment(n, trials, seed)) == bits(
+                    reference_pinch_experiment(n, trials, seed)
+                ), (trials, seed)
+
+    def test_live_memory_does_not_grow_with_trials(self):
+        assert pinching.BLOCK_ENTRIES // 20**2 >= 20  # 20 trials at n = 20 make one block
+        per_block = pinching.BLOCK_ENTRIES // 4**2
+        peaks = []
+        for trials in (per_block, 4 * per_block):
+            tracemalloc.start()
+            pinch_experiment(4, trials, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+    def test_non_finite_table_in_a_block_is_rejected(self, monkeypatch):
+        # a cone element 1e308 * (1 + x) overflows wherever x > 0
+        huge = (np.zeros(3), 1e308, 1e308, np.zeros(3), np.zeros(3))
+        monkeypatch.setattr(pinching, "_draw_family", lambda rng: huge)
+        with np.errstate(over="ignore"), pytest.raises(InvalidInput):
+            pinch_experiment(3, 4, 1)
+
+    def test_non_self_adjoint_matrix_in_a_block_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(pinching, "_hermitian_entries", lambda rng, n: np.triu(np.ones((n, n))))
+        with pytest.raises(InvalidInput, match="self-adjoint"):
+            pinch_experiment(3, 4, 1)
