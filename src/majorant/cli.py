@@ -4,7 +4,8 @@ Lists may be given inline as JSON literals ("[2, 1, 0]") or as paths to
 JSON files ({"values": [...]}) or CSV files (one value per line).
 Matrices, measures and step functions travel as JSON files in the
 schemas used throughout the package.  Exit status: 0 for success or a
-true verdict, 1 for a false verdict, 2 for malformed input.
+true verdict, 1 for a false verdict, 2 for malformed input.  Each
+command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -14,34 +15,18 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .eigenlists import EigenList, check_majorization, reduce_to_equality
+from .eigenlists import DEFAULT_TOL, EigenList, check_majorization, reduce_to_equality
 from .errors import MajorantError
-from .horn import (
-    HermitianMatrix,
-    horn_construct,
-    matrix_from_jsonable,
-    matrix_to_jsonable,
-)
-from .measures import (
-    CompactMeasure,
-    StepFunction,
-    from_matrix,
-    majorize_measure,
-    moment,
-    quantile_transport,
-    tail_integral,
-)
-from .pinching import align_step_functions, pinch_experiment
 from .serialize import dumps
-from .trace_class import (
-    contraction_diagonal,
-    projection_with_diagonal,
-    realize_finite_rank,
-)
+
+if TYPE_CHECKING:
+    from .horn import HermitianMatrix
+    from .measures import CompactMeasure, StepFunction
 
 MAX_MOMENT = 6
 SEED_ENV = "MAJORANT_SEED"
@@ -63,18 +48,28 @@ def _load_list(source: str) -> EigenList:
 
 
 def _load_matrix(source: str) -> HermitianMatrix:
-    return HermitianMatrix(matrix_from_jsonable(json.loads(Path(source).read_text())))
+    from .horn import HermitianMatrix
+
+    return HermitianMatrix.from_jsonable(json.loads(Path(source).read_text()))
 
 
 def _load_measure(source: str) -> CompactMeasure:
-    """Measure JSON, or a matrix JSON whose spectral distribution is taken."""
+    """Measure JSON, a `measure` report (its "measure" object), or a matrix
+    JSON whose spectral distribution is taken."""
+    from .horn import HermitianMatrix
+    from .measures import CompactMeasure, from_matrix
+
     data = json.loads(Path(source).read_text())
-    if isinstance(data, dict) and "entries" in data:
-        return from_matrix(HermitianMatrix(matrix_from_jsonable(data)))
+    if isinstance(data, dict):
+        if "entries" in data:
+            return from_matrix(HermitianMatrix.from_jsonable(data))
+        data = data.get("measure", data)
     return CompactMeasure.from_jsonable(data)
 
 
 def _load_step(source: str) -> StepFunction:
+    from .measures import StepFunction
+
     return StepFunction.from_jsonable(json.loads(Path(source).read_text()))
 
 
@@ -106,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", required=True, help="compared list (inline JSON or file)")
     s.add_argument("--lambda", dest="lam", required=True, help="dominating list")
     s.add_argument("--mode", choices=["equality", "dominance"], default="equality")
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     s = sub.add_parser("reduce", help="lower a dominating list to equal totals")
     s.add_argument("--p", required=True)
@@ -176,23 +171,34 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "construct":
         lam, p = _load_list(args.lam), _load_list(args.p)
         if args.truncate is not None:
+            from .trace_class import realize_finite_rank
+
             matrix = realize_finite_rank(lam, p, args.truncate)
         else:
+            from .horn import horn_construct
+
             matrix = horn_construct(lam, p)
         _emit(matrix.to_jsonable(), args.output)
         return 0
 
     if args.command == "contraction":
+        from .horn import matrix_to_jsonable
+        from .trace_class import contraction_diagonal
+
         L = contraction_diagonal(_load_matrix(args.matrix), _load_list(args.p))
         _emit(matrix_to_jsonable(L), args.output)
         return 0
 
     if args.command == "projection":
+        from .trace_class import projection_with_diagonal
+
         matrix = projection_with_diagonal(_load_list(args.p), args.rank, args.truncate)
         _emit(matrix.to_jsonable(), args.output)
         return 0
 
     if args.command == "measure":
+        from .measures import moment, tail_integral
+
         m = _load_measure(args.source)
         thresholds = [float(t) for t in m.breakpoints()]
         payload = {
@@ -211,6 +217,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "majorize-measure":
+        from .measures import majorize_measure
+
         m, n = _load_measure(args.m), _load_measure(args.n)
         methods = (
             ["hinge", "survivor", "convex_family"] if args.method == "all" else [args.method]
@@ -221,16 +229,22 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if majorized else 1
 
     if args.command == "transport":
+        from .measures import quantile_transport
+
         step = quantile_transport(_load_measure(args.measure), args.cells)
         _emit(step.to_jsonable(), args.output)
         return 0
 
     if args.command == "pinch-experiment":
+        from .pinching import pinch_experiment
+
         report = pinch_experiment(args.n, args.trials, _seed(args))
         print(dumps(report))
         return 0 if report["holds"] else 1
 
     if args.command == "align":
+        from .pinching import align_step_functions
+
         perm, achieved = align_step_functions(_load_step(args.f), _load_step(args.g), args.eps)
         print(dumps({"permutation": list(perm), "achieved": achieved, "bound": 2.0 * args.eps}))
         return 0

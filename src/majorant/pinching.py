@@ -153,18 +153,18 @@ def align_step_functions(
 # -- randomized experiment runner ------------------------------------------
 
 
-def _draw_family(rng: np.random.Generator, hinges: int = 3) -> tuple:
+def _draw_family(rng: np.random.Generator) -> tuple:
     """Parameters of the convex test family: hinge anchors ts, and a, b, rs,
     cs of the cone element a + b*x + sum c_k * max(x - r_k, 0)."""
-    ts = rng.uniform(-2.0, 2.0, size=hinges)
+    ts = rng.uniform(-2.0, 2.0, size=3)
     a, b = rng.normal(size=2)
     return ts, float(a), float(b), rng.uniform(-2.0, 2.0, size=3), rng.uniform(0.0, 2.0, size=3)
 
 
-def default_convex_family(rng: np.random.Generator, hinges: int = 3) -> list[Callable[[float], float]]:
-    """Convex test functions: square, absolute value, exp, random hinges,
+def default_convex_family(rng: np.random.Generator) -> list[Callable[[float], float]]:
+    """Convex test functions: square, absolute value, exp, three random hinges,
     and one random element of the cone a + b*x + sum c_k * max(x - r_k, 0)."""
-    ts, a, b, rs, cs = _draw_family(rng, hinges)
+    ts, a, b, rs, cs = _draw_family(rng)
     return [
         lambda x: x * x,
         abs,

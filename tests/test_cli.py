@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import majorant
 from majorant.cli import main
 
 
@@ -154,12 +159,25 @@ class TestOtherCommands:
         assert result["achieved"] == 0.0
         assert sorted(result["permutation"]) == [0, 1, 2, 3]
 
-    def test_measure_report_is_not_a_measure(self, capsys, tmp_path):
+    def test_measure_report_reads_back(self, capsys, tmp_path):
+        # construct -o A; measure A -o m; transport --measure m
+        a_file, report = tmp_path / "a.json", tmp_path / "report.json"
+        assert run(capsys, "construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]",
+                   "-o", str(a_file))[0] == 0
+        assert run(capsys, "measure", str(a_file), "-o", str(report))[0] == 0
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(json.loads(report.read_text())["measure"]))
+        code, out, _ = run(capsys, "transport", "--measure", str(report), "--cells", "4")
+        assert code == 0
+        assert out == run(capsys, "transport", "--measure", str(bare), "--cells", "4")[1]
+        for command in (["measure", str(report)],
+                        ["majorize-measure", "--m", str(report), "--n", str(bare)]):
+            assert run(capsys, *command)[0] == 0
+
+    def test_file_without_a_measure_exits_two(self, capsys, tmp_path):
         m_file = tmp_path / "m.json"
-        m_file.write_text(json.dumps({"atoms": [{"x": 0.0, "mass": 1.0}]}))
-        report = tmp_path / "report.json"
-        assert run(capsys, "measure", str(m_file), "-o", str(report))[0] == 0
-        code, _, err = run(capsys, "transport", "--measure", str(report), "--cells", "4")
+        m_file.write_text(json.dumps({"moments": []}))
+        code, _, err = run(capsys, "transport", "--measure", str(m_file), "--cells", "4")
         assert code == 2
         assert '"atoms"' in err
 
@@ -276,3 +294,41 @@ class TestPinchExperimentOutputIsPinned:
         code, out, _ = run(capsys, "pinch-experiment", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def loaded_submodules(code: str) -> set[str]:
+    """The ``majorant.*`` modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys; print(*(m for m in sys.modules if m.startswith('majorant.')))\n"
+    src = str(Path(majorant.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def after_command(*argv: str) -> set[str]:
+    return loaded_submodules(f"from majorant.cli import main\nassert main({list(argv)!r}) == 0")
+
+
+class TestProcessesImportOnlyWhatTheyRun:
+    """Every process compiles the modules it imports, so it skips those it never runs."""
+
+    def test_bare_package_import_loads_no_submodule(self):
+        assert loaded_submodules("import majorant") == set()
+
+    @pytest.mark.parametrize("extra", [(), ("--truncate", "4")], ids=["plain", "truncate"])
+    def test_construct(self, tmp_path, extra):
+        loaded = after_command("construct", "--lambda", "[2, 1]", "--p", "[1.5, 1.5]", *extra,
+                               "-o", str(tmp_path / "a.json"))
+        assert "majorant.horn" in loaded
+        assert not loaded & {"majorant.measures", "majorant.pinching", "majorant.sampling"}
+
+    def test_measure_and_majorize_measure(self, tmp_path):
+        a_file = str(tmp_path / "a.json")
+        assert main(["construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]", "-o", a_file]) == 0
+        for argv in (("measure", a_file, "-o", str(tmp_path / "m.json")),
+                     ("majorize-measure", "--m", a_file, "--n", a_file)):
+            loaded = after_command(*argv)
+            assert "majorant.measures" in loaded
+            assert not loaded & {"majorant.pinching", "majorant.sampling", "majorant.trace_class"}
