@@ -15,13 +15,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._tol import DECISION as DEFAULT_TOL, ROUND_OFF, WITNESS, scaled
 from .errors import InvalidInput, MajorizationViolation, TraceMismatch
-
-#: default absolute tolerance for prefix-sum comparisons
-DEFAULT_TOL = 1e-10
-
-#: default slack allowed when validating that a list is nonincreasing
-MONOTONE_TOL = 1e-12
 
 
 def _readonly_copy(arr: np.ndarray) -> np.ndarray:
@@ -42,21 +37,13 @@ def _to_array(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenList:
-    """A finite real list sorted in decreasing order.
-
-    ``tolerance`` is the slack allowed in the monotonicity check; values
-    coming out of an eigensolver may be unsorted by a few ulps without
-    being meaningfully out of order.
-    """
+    """A finite real list sorted in decreasing order, up to round-off of its largest entry."""
 
     values: np.ndarray
-    tolerance: float = MONOTONE_TOL
 
     def __post_init__(self):
         arr = _to_array(self.values)
-        if not self.tolerance >= 0.0:
-            raise InvalidInput("tolerance must be nonnegative")
-        if arr.size > 1 and np.any(arr[:-1] < arr[1:] - self.tolerance):
+        if arr.size > 1 and np.any(arr[:-1] < arr[1:] - scaled(ROUND_OFF, arr)):
             raise InvalidInput("list must be nonincreasing (use normalize_list to sort)")
         object.__setattr__(self, "values", _readonly_copy(arr))
 
@@ -84,7 +71,7 @@ class EigenList:
     def from_jsonable(cls, data) -> "EigenList":
         if not isinstance(data, dict) or "values" not in data:
             raise InvalidInput('eigenvalue list JSON must be {"values": [...]}')
-        return cls(_to_array(data["values"]))
+        return cls(data["values"])
 
 
 ListLike = Union[EigenList, Sequence[float], np.ndarray]
@@ -94,7 +81,7 @@ def as_eigenlist(values: ListLike) -> EigenList:
     """Coerce a raw sequence to :class:`EigenList`, validating order."""
     if isinstance(values, EigenList):
         return values
-    return EigenList(_to_array(values))
+    return EigenList(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +119,7 @@ def _padded_pair(p: ListLike, lam: ListLike) -> tuple[np.ndarray, np.ndarray]:
 
 def normalize_list(raw: Iterable[float]) -> EigenList:
     """Sort raw values into a decreasing list; the multiset is preserved."""
-    arr = _to_array(list(raw))
-    return EigenList(np.sort(arr)[::-1])
+    return EigenList(np.sort(np.asarray(list(raw), dtype=float))[::-1])
 
 
 def check_majorization(
@@ -145,8 +131,9 @@ def check_majorization(
     """Compare prefix sums of ``p`` against those of ``lam``.
 
     In ``dominance`` mode the report holds when every prefix sum of p is
-    at most the matching prefix sum of lam (within ``tol``); ``equality``
-    mode additionally requires the totals to agree within ``tol``.
+    at most the matching prefix sum of lam (within ``tol`` times the
+    largest entry of either list); ``equality`` mode additionally requires
+    the totals to agree within that slack.
     Shorter input is zero-padded, which is exact for eigenvalue lists of
     positive compact operators.
     """
@@ -157,6 +144,7 @@ def check_majorization(
     pv, lv = _padded_pair(p, lam)
     slack = np.cumsum(lv) - np.cumsum(pv)
     trace_gap = float(slack[-1])
+    tol = scaled(tol, pv, lv)
     violated = np.nonzero(slack < -tol)[0]
     holds = violated.size == 0
     first_violation: Optional[int] = None
@@ -202,7 +190,7 @@ def reduce_to_equality(p: ListLike, lam: ListLike, tol: float = DEFAULT_TOL) -> 
             s = min(1.0, max(0.0, (target - fx) / (fy - fx)))
         x *= 1.0 - s
         x += s * y
-    return EigenList(buf, tolerance=max(MONOTONE_TOL, tol))
+    return EigenList(buf)
 
 
 def hlp_convex_check(
@@ -214,11 +202,13 @@ def hlp_convex_check(
     """Convex-function form of the majorization order.
 
     Returns True when sum f(p_k) <= sum f(lam_k) + tol for every convex
-    f in ``family``.  Requires equal totals (the order is only defined
-    then); raises ``TraceMismatch`` otherwise.
+    f in ``family``; that slack is absolute, since only f knows the units
+    of its values.  Requires equal totals (the order is only defined
+    then) within max(tol, witness level) times the largest entry;
+    raises ``TraceMismatch`` otherwise.
     """
     pv, lv = _padded_pair(p, lam)
-    if abs(pv.sum() - lv.sum()) > max(tol, 1e-9 * max(1.0, abs(lv.sum()))):
+    if abs(pv.sum() - lv.sum()) > scaled(max(tol, WITNESS), pv, lv):
         raise TraceMismatch("lists must have equal totals for the convex-function test")
     family = list(family)
     if not family:

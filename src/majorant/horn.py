@@ -29,18 +29,16 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .eigenlists import DEFAULT_TOL, EigenList, ListLike, _readonly_copy, as_eigenlist, check_majorization
+from ._tol import DECISION, ROUND_OFF, scaled
+from .eigenlists import EigenList, ListLike, _readonly_copy, as_eigenlist, check_majorization
 from .errors import DistributionMismatch, InvalidInput, MajorizationViolation
-
-#: allowed deviation from exact self-adjointness
-HERMITIAN_TOL = 1e-12
 
 
 def _check_self_adjoint(arr: np.ndarray) -> None:
-    """Finite and self-adjoint within HERMITIAN_TOL; ``arr`` may be a stack of matrices."""
+    """Finite, and self-adjoint up to round-off of its largest entry; ``arr`` may be a stack."""
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("matrix entries must be finite")
-    if np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
+    if np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))) > scaled(ROUND_OFF, arr):
         raise InvalidInput("matrix is not self-adjoint within tolerance")
 
 
@@ -67,7 +65,7 @@ class HermitianMatrix:
 
     def eigenvalues(self) -> EigenList:
         """Spectrum in decreasing order."""
-        return EigenList(np.linalg.eigvalsh(self.entries)[::-1], tolerance=1e-9)
+        return EigenList(np.linalg.eigvalsh(self.entries)[::-1])
 
     @classmethod
     def from_diagonal(cls, values: ListLike) -> "HermitianMatrix":
@@ -140,7 +138,7 @@ class TTransform:
             raise InvalidInput("transposition indices must be integers")
         if not 0 <= i < j:
             raise InvalidInput("need 0 <= i < j")
-        if not (math.isfinite(t) and -1e-12 <= t <= 1.0 + 1e-12):
+        if not (math.isfinite(t) and -ROUND_OFF <= t <= 1.0 + ROUND_OFF):
             raise InvalidInput("mixing weight t must lie in [0, 1]")
         # normalize in place only what is not yet a Python int or a float in
         # (0, 1]: NumPy scalars, t clamped into [0, 1], and -0.0 -> 0.0
@@ -167,7 +165,8 @@ def _mixing_steps(lam: ListLike, p: ListLike, tol: float) -> tuple[list[int], li
     """Pivots i < j and weights t of the mixing chain carrying ``lam`` onto ``p``.
 
     The rule of ``t_transform_chain``, with each t clamped into [0, 1]
-    as ``TTransform`` clamps it.
+    as ``TTransform`` clamps it.  A scan that runs off the end before
+    n - 1 steps must leave x within ``tol`` (scaled to the lists) of p.
     """
     le, pe = as_eigenlist(lam), as_eigenlist(p)
     if len(le) != len(pe):
@@ -177,7 +176,7 @@ def _mixing_steps(lam: ListLike, p: ListLike, tol: float) -> tuple[list[int], li
     x = le.values.tolist()
     pv = pe.values.tolist()
     n = len(x)
-    snap = 1e-12 * max(1.0, float(np.max(np.abs(le.values))))
+    snap = scaled(ROUND_OFF, le.values)
     pivots_i: list[int] = []
     pivots_j: list[int] = []
     weights: list[float] = []
@@ -189,6 +188,9 @@ def _mixing_steps(lam: ListLike, p: ListLike, tol: float) -> tuple[list[int], li
         while j < n and x[j] - pv[j] >= -snap:
             j += 1
         if j >= n:
+            residual = max(abs(a - b) for a, b in zip(x, pv))
+            if residual > scaled(tol, le.values, pe.values):
+                raise MajorizationViolation(f"mixing chain stopped {residual:.3e} away from p")
             break
         delta = min(x[i] - pv[i], pv[j] - x[j])
         pivots_i.append(i)
@@ -203,12 +205,12 @@ def _mixing_steps(lam: ListLike, p: ListLike, tol: float) -> tuple[list[int], li
         if abs(x[j] - pv[j]) <= snap:
             x[j] = pv[j]
     t = np.array(weights, dtype=float)
-    if not np.all(t >= -1e-12):
+    if not np.all(t >= -ROUND_OFF):
         raise InvalidInput("mixing weight t must lie in [0, 1]")
     return pivots_i, pivots_j, np.minimum(1.0, np.maximum(0.0, t))
 
 
-def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> list[TTransform]:
+def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DECISION) -> list[TTransform]:
     """Mixing chain carrying the list ``lam`` onto the list ``p``.
 
     Requires p to be majorized by lam with equal totals.  Uses the
@@ -286,7 +288,7 @@ def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.nda
     return U, HermitianMatrix(result)
 
 
-def horn_construct(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> HermitianMatrix:
+def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> HermitianMatrix:
     """Real symmetric matrix with spectrum ``lam`` and diagonal ``p``.
 
     Feasible exactly when p is majorized by lam with equal totals.
@@ -303,7 +305,7 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> Herm
     return HermitianMatrix(a)
 
 
-def horn_frame(lam: ListLike, p: ListLike, tol: float = DEFAULT_TOL) -> np.ndarray:
+def horn_frame(lam: ListLike, p: ListLike, tol: float = DECISION) -> np.ndarray:
     """Real orthogonal Q with Q diag(lam) Q^T = ``horn_construct(lam, p)`` up to round-off.
 
     Q is the product of the chain's rotations: each step applies the row
@@ -348,7 +350,7 @@ def approx_conjugate(a: MatrixLike, b: MatrixLike, eps: float) -> np.ndarray:
     avals, avecs = eigh_desc(A)
     bvals, bvecs = eigh_desc(B)
     worst = float(np.max(np.abs(avals - bvals)))
-    if worst > eps + 1e-12:
+    if worst > eps + scaled(ROUND_OFF, avals, bvals):
         raise DistributionMismatch(
             f"sorted spectra differ by {worst:.3e} at some entry, beyond eps={eps:.3e}"
         )

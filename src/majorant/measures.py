@@ -18,15 +18,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._tol import DECISION, ROUND_OFF, scaled
 from .eigenlists import _readonly_copy
 from .errors import InvalidInput
 from .horn import MatrixLike, as_hermitian
-
-#: probability-mass defect allowed at construction
-MASS_TOL = 1e-12
-
-#: tolerance for first-moment agreement and tail-integral comparisons
-ORDER_TOL = 1e-10
 
 
 def _suffix(v: np.ndarray) -> np.ndarray:
@@ -67,7 +62,7 @@ class CompactMeasure:
             total += w
         if not atoms and not pieces:
             raise InvalidInput("measure needs at least one atom or piece")
-        if abs(total - 1.0) > MASS_TOL:
+        if abs(total - 1.0) > ROUND_OFF:
             raise InvalidInput(f"total mass {total!r} differs from 1")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
@@ -334,6 +329,8 @@ def majorize_measure(m: CompactMeasure, n: CompactMeasure, method: str = "hinge"
 
     All three routes check one shared decisive threshold set and therefore
     return identical verdicts; the gap at the lowest is the moment gap.
+    Gaps are compared at the decision level times the largest magnitude of
+    an end of either support, so the verdict does not depend on units.
     """
     if not isinstance(m, CompactMeasure) or not isinstance(n, CompactMeasure):
         raise InvalidInput("majorize_measure expects two CompactMeasure values")
@@ -341,15 +338,16 @@ def majorize_measure(m: CompactMeasure, n: CompactMeasure, method: str = "hinge"
         raise InvalidInput(f"unknown method {method!r}")
 
     thresholds = _decisive_thresholds(m, n)
+    tol = scaled(DECISION, thresholds)  # sorted, so its ends are those of the supports
     if method == "convex_family":
         def gap(t: float) -> float:
             f = lambda x: max(x - t, 0.0)
             return integrate_function(m, f, kinks=(t,)) - integrate_function(n, f, kinks=(t,))
-        return abs(gap(thresholds[0])) <= ORDER_TOL and all(gap(t) <= ORDER_TOL for t in thresholds[1:])
+        return abs(gap(thresholds[0])) <= tol and all(gap(t) <= tol for t in thresholds[1:])
 
     tail = _hinge_tail if method == "hinge" else _survivor_tail
     gaps = tail(m, thresholds) - tail(n, thresholds)
-    return bool(abs(gaps[0]) <= ORDER_TOL and np.all(gaps <= ORDER_TOL))
+    return bool(abs(gaps[0]) <= tol and np.all(gaps <= tol))
 
 
 # -- quantiles and transport ----------------------------------------------

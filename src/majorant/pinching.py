@@ -16,14 +16,12 @@ from typing import Callable
 
 import numpy as np
 
+from ._tol import ROUND_OFF, WITNESS as WITNESS_TOL, scaled
 from .eigenlists import check_majorization, hinge, normalize_list
 from .errors import DistributionMismatch, InvalidInput
 from .horn import HermitianMatrix, MatrixLike, _check_self_adjoint, as_hermitian
 from .measures import StepFunction, from_matrix, majorize_measure
 from .sampling import _hermitian_entries
-
-#: slack allowed before a convexity witness counts as a violation
-WITNESS_TOL = 1e-9
 
 #: matrix entries per block of pinch_experiment trials: 20 trials at n = 20
 BLOCK_ENTRIES = 8192
@@ -111,7 +109,7 @@ def schur_distribution_check(matrix: MatrixLike) -> bool:
     return majorize_measure(from_matrix(pinch_diag(A)), from_matrix(A), "hinge")
 
 
-def classical_schur_check(matrix: MatrixLike, tol: float = 1e-9) -> bool:
+def classical_schur_check(matrix: MatrixLike, tol: float = WITNESS_TOL) -> bool:
     """Prefix-sum form of the same statement, for cross-checking."""
     A = as_hermitian(matrix)
     diag = normalize_list(A.diagonal())
@@ -140,7 +138,7 @@ def align_step_functions(
     order_f = np.argsort(-f.values, kind="stable")
     order_g = np.argsort(-g.values, kind="stable")
     sorted_gap = float(np.max(np.abs(f.values[order_f] - g.values[order_g])))
-    if sorted_gap > eps + 1e-12:
+    if sorted_gap > eps + scaled(ROUND_OFF, f.values, g.values):
         raise DistributionMismatch(
             f"sorted values differ by {sorted_gap:.3e} at some entry, beyond eps={eps:.3e}"
         )

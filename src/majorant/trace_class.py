@@ -11,35 +11,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigenlists import (
-    DEFAULT_TOL,
-    EigenList,
-    ListLike,
-    as_eigenlist,
-    check_majorization,
-    reduce_to_equality,
-)
+from ._tol import DECISION, ROUND_OFF, scaled
+from .eigenlists import EigenList, ListLike, as_eigenlist, check_majorization, reduce_to_equality
 from .errors import InvalidInput, TraceMismatch
 from .horn import HermitianMatrix, MatrixLike, as_hermitian, eigh_desc, horn_construct, horn_frame
 
-#: slack allowed when testing nonnegativity of inputs that came out of a solver
-NEGATIVITY_TOL = 1e-12
-
-#: absolute tolerance on the integrality of a projection diagonal's total
-PROJECTION_SUM_TOL = 1e-10
-
 
 def _nonnegative(values: np.ndarray, what: str) -> None:
-    if np.min(values, initial=0.0) < -NEGATIVITY_TOL:
+    if np.min(values, initial=0.0) < -scaled(ROUND_OFF, values):
         raise InvalidInput(f"{what} must be nonnegative")
 
 
-def feasible_diagonal(p: ListLike, lam: ListLike, tol: float = DEFAULT_TOL) -> bool:
+def feasible_diagonal(p: ListLike, lam: ListLike, tol: float = DECISION) -> bool:
     """Can a positive operator with spectrum list ``lam`` have diagonal ``p``?
 
     True exactly when every prefix sum of p is at most that of lam and
-    the totals agree within ``tol``.  Lists are zero-padded to a common
-    length, which is exact for eigenvalue lists of positive operators.
+    the totals agree, within ``tol`` times the largest entry.  Lists are
+    zero-padded, which is exact for eigenvalue lists of positive operators.
     """
     pe, le = as_eigenlist(p), as_eigenlist(lam)
     _nonnegative(pe.values, "diagonal list")
@@ -49,13 +37,13 @@ def feasible_diagonal(p: ListLike, lam: ListLike, tol: float = DEFAULT_TOL) -> b
 
 def _pad_to(values: EigenList, n: int, what: str) -> EigenList:
     if len(values) > n:
-        if np.max(np.abs(values.values[n:])) > NEGATIVITY_TOL:
+        if np.max(np.abs(values.values[n:])) > scaled(ROUND_OFF, values.values):
             raise InvalidInput(f"truncation size {n} too small to hold the support of {what}")
-        return EigenList(values.values[:n], tolerance=values.tolerance)
-    return EigenList(values.padded(n), tolerance=values.tolerance)
+        return EigenList(values.values[:n])
+    return EigenList(values.padded(n))
 
 
-def realize_finite_rank(lam: ListLike, p: ListLike, n: int, tol: float = DEFAULT_TOL) -> HermitianMatrix:
+def realize_finite_rank(lam: ListLike, p: ListLike, n: int, tol: float = DECISION) -> HermitianMatrix:
     """Positive n x n matrix with spectrum ``lam`` (zero-padded) and diagonal ``p``.
 
     For finitely supported spectra the realization is exact: pad both
@@ -71,7 +59,7 @@ def realize_finite_rank(lam: ListLike, p: ListLike, n: int, tol: float = DEFAULT
     return horn_construct(le, pe, tol)
 
 
-def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DEFAULT_TOL) -> np.ndarray:
+def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DECISION) -> np.ndarray:
     """Contraction L with diag(L* A L) = (p_1, ..., p_r, 0, ..., 0).
 
     A must be positive semidefinite and the prefix sums of p must be
@@ -91,24 +79,25 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DEFAULT_T
     if r > A.dim:
         raise InvalidInput("target diagonal longer than the matrix dimension")
     evals, evecs = eigh_desc(A)
-    if evals[-1] < -1e-10 * max(1.0, float(evals[0])):
+    if evals[-1] < -scaled(DECISION, evals):
         raise InvalidInput("matrix must be positive semidefinite")
-    lam_top = EigenList(np.maximum(evals[:r], 0.0), tolerance=1e-9)
+    lam_top = EigenList(np.maximum(evals[:r], 0.0))
     mu = reduce_to_equality(pe, lam_top, tol)
     # the core matrix horn_construct(mu, p) is Q diag(mu) Q^T for the real
     # orthogonal product Q of its chain's rotations, so the rows of Q give
     # orthonormal vectors whose quadratic form against diag(mu) is p
     V = evecs[:, :r] @ horn_frame(mu, pe, tol).T
     quad = np.real(np.einsum("ij,ij->j", V.conj(), A.entries @ V))
+    floor = scaled(ROUND_OFF, evals)
     with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(quad > NEGATIVITY_TOL, pe.values / np.maximum(quad, NEGATIVITY_TOL), 0.0)
+        weights = np.where(quad > floor, pe.values / np.maximum(quad, floor), 0.0)
     weights = np.clip(weights, 0.0, 1.0)
     L = np.zeros((A.dim, A.dim), dtype=V.dtype)
     L[:, :r] = V * np.sqrt(weights)[None, :]
     return L
 
 
-def projection_with_diagonal(p: ListLike, rank: int, n: int, tol: float = DEFAULT_TOL) -> HermitianMatrix:
+def projection_with_diagonal(p: ListLike, rank: int, n: int, tol: float = DECISION) -> HermitianMatrix:
     """Rank-``rank`` orthogonal projection on C^n with diagonal ``p``.
 
     Entries of p must lie in [0, 1] and their total must equal ``rank``
@@ -122,15 +111,15 @@ def projection_with_diagonal(p: ListLike, rank: int, n: int, tol: float = DEFAUL
     if not isinstance(n, (int, np.integer)) or n < rank:
         raise InvalidInput("need rank <= n")
     values = pe.values
-    if np.min(values) < -NEGATIVITY_TOL or np.max(values) > 1.0 + NEGATIVITY_TOL:
+    if np.min(values) < -ROUND_OFF or np.max(values) > 1.0 + ROUND_OFF:
         raise InvalidInput("projection diagonal entries must lie in [0, 1]")
-    pe = _pad_to(EigenList(np.clip(values, 0.0, 1.0), tolerance=pe.tolerance), int(n), "p")
-    if abs(pe.total() - rank) > PROJECTION_SUM_TOL:
+    pe = _pad_to(EigenList(np.clip(values, 0.0, 1.0)), int(n), "p")
+    if abs(pe.total() - rank) > DECISION:
         raise TraceMismatch(
             f"diagonal total {pe.total()!r} must equal the integer rank {rank}"
         )
     lam = EigenList(np.concatenate([np.ones(int(rank)), np.zeros(int(n) - int(rank))]))
-    return horn_construct(lam, pe, max(tol, PROJECTION_SUM_TOL))
+    return horn_construct(lam, pe, max(tol, DECISION))
 
 
 def eigenlist_l1_distance(lam: ListLike, mu: ListLike) -> float:

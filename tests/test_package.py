@@ -1,6 +1,9 @@
 """The package namespace: public names resolved from their defining modules on first use."""
 
+import ast
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +49,18 @@ def test_unknown_name_raises_attribute_error():
         majorant.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from majorant import no_such_name  # noqa: F401
+
+
+def test_tolerance_literals_live_only_in_the_policy_module():
+    """No float literal in (0, 1e-6) outside ``_tol.py``: every slack goes through it."""
+    found = []
+    for path in sorted(Path(majorant.__file__).parent.glob("*.py")):
+        if path.name == "_tol.py":
+            continue
+        with path.open("rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NUMBER:
+                    value = ast.literal_eval(tok.string)
+                    if isinstance(value, float) and 0.0 < value < 1e-6:
+                        found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not found, "tolerance literals outside majorant._tol: " + ", ".join(found)
