@@ -15,8 +15,8 @@ columns i and j from those zeros as the same zeros.  The rotation
 blocks of a chain are built once, in one vectorized pass over its
 weights, and each step then costs two products on strided views.  The
 product of a chain's rotations is an eigenframe of its construction
-(``horn_frame``), so a caller that needs the eigenvectors of a
-construction gets them without an eigensolve.  Also provides the
+(``horn_frame``); a construction keeps its spectrum and chain, so
+``eigh_desc`` of it takes no eigensolve.  Also provides the
 top-k eigenvalue sums (the trace maximum over rank-k projections) and
 spectral alignment of two matrices with entrywise-close spectra.
 """
@@ -24,7 +24,7 @@ spectral alignment of two matrices with entrywise-close spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -47,6 +47,8 @@ class HermitianMatrix:
     """Dense self-adjoint matrix: float64 entries for real input, complex128 otherwise."""
 
     entries: np.ndarray
+    #: a construction's spectrum and rotation chain, set only by ``horn_construct``
+    _chain: tuple[np.ndarray, _Chain] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
@@ -114,9 +116,15 @@ def matrix_from_jsonable(data) -> np.ndarray:
 
 
 def eigh_desc(matrix: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with eigenvalues sorted in decreasing order."""
-    arr = matrix.entries if isinstance(matrix, HermitianMatrix) else np.asarray(matrix)
-    vals, vecs = np.linalg.eigh(arr)
+    """Eigendecomposition with eigenvalues sorted in decreasing order.
+
+    A construction gives its spectrum and chain frame; any other matrix takes ``eigh``.
+    """
+    A = as_hermitian(matrix)
+    if A._chain is not None:
+        lam, chain = A._chain
+        return lam.copy(), _frame(A.dim, chain)
+    vals, vecs = np.linalg.eigh(A.entries)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
@@ -243,10 +251,26 @@ def _rotation_blocks(t: np.ndarray) -> np.ndarray:
     return np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
 
 
-def _chain_steps(lam: ListLike, p: ListLike, tol: float) -> list[_Step]:
+#: a mixing chain: pivots i < j and the (m, 2, 2) array of its rotation blocks
+_Chain = tuple[list[int], list[int], np.ndarray]
+
+
+def _chain_steps(lam: ListLike, p: ListLike, tol: float) -> _Chain:
     """The rotations of the mixing chain, every block built in one pass."""
     pivots_i, pivots_j, t = _mixing_steps(lam, p, tol)
-    return list(map(_Step, pivots_i, pivots_j, _rotation_blocks(t)))
+    return pivots_i, pivots_j, _rotation_blocks(t)
+
+
+def _frame(n: int, chain: _Chain) -> np.ndarray:
+    """The product of the chain's rotations, each applied to the n x n identity row by row.
+
+    Rows and columns past j are still the identity's before a step (i, j).
+    """
+    q = np.eye(n)
+    for i, j, block in zip(*chain):
+        rows = q[i : j + 1 : j - i, : j + 1]
+        rows[...] = block @ rows
+    return q
 
 
 def _rotate(a: np.ndarray, step: _Step) -> None:
@@ -295,31 +319,28 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> Hermiti
     Starts from the diagonal matrix of lam and conjugates along the
     mixing chain; every step is a similarity, so the spectrum never
     moves while the diagonal walks to p.  Only the finished matrix is validated.
+    The matrix keeps ``lam`` and the chain, for ``eigh_desc``.
     """
     le = as_eigenlist(lam)
+    chain = _chain_steps(le, p, tol)
     a = np.diag(le.values)
-    for step in _chain_steps(le, p, tol):
+    for step in map(_Step, *chain):
         # rows and columns past j are still 0 off the diagonal, and a_ij == 0
         # keeps the rotation real, so it works in place on the leading block
         _rotate(a[: step.j + 1, : step.j + 1], step)
-    return HermitianMatrix(a)
+    matrix = HermitianMatrix(a)
+    object.__setattr__(matrix, "_chain", (le.values, chain))
+    return matrix
 
 
 def horn_frame(lam: ListLike, p: ListLike, tol: float = DECISION) -> np.ndarray:
     """Real orthogonal Q with Q diag(lam) Q^T = ``horn_construct(lam, p)`` up to round-off.
 
-    Q is the product of the chain's rotations: each step applies the row
-    half of its rotation to the identity.  Column k of Q is therefore an
+    Q is the product of the chain's rotations, so column k of Q is an
     eigenvector of the construction for lam_k, without an eigensolve.
-    Rows and columns past j are still those of the identity before a
-    step (i, j), so each step touches only columns 0..j.
     """
     le = as_eigenlist(lam)
-    q = np.eye(len(le))
-    for i, j, block in _chain_steps(le, p, tol):
-        rows = q[i : j + 1 : j - i, : j + 1]
-        rows[...] = block @ rows
-    return q
+    return _frame(len(le), _chain_steps(le, p, tol))
 
 
 def ky_fan_sum(matrix: MatrixLike, k: int) -> float:

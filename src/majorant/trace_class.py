@@ -69,8 +69,8 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DECISION)
     diagonal p inside the top-r eigenspace, then shrink each column so
     the quadratic form lands exactly on p.  The realization's eigenframe
     is the product of its chain's rotations, so the only eigensolve is
-    the one of A.  All of it runs in the dtype of A, so L is real for a
-    real A.
+    the one of A, and none when A is a construction (``eigh_desc``).
+    All of it runs in the dtype of A, so L is real for a real A.
     """
     A = as_hermitian(matrix)
     pe = as_eigenlist(p)

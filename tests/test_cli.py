@@ -268,6 +268,34 @@ class TestConstructionOutputIsPinned:
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+class TestContractionOutputIsPinned:
+    """SHA-256 of ``contraction`` on a ``construct -o`` file, as the eigensolver's frame gives it.
+
+    A matrix read from a file carries no mixing chain, so its
+    contraction takes ``np.linalg.eigh`` and prints the same bytes
+    whether or not the in-process construction kept its chain.
+    """
+
+    CASES = [
+        pytest.param("[0.5]", "bf29f5a518e4a6c71a499a76741feb20b7355440910a77ab4de43edc5e1dff71",
+                     id="readme"),
+        pytest.param("[1.5, 0.5]", "1810f55cd650f154b226fbe1a25b86e1e37bf847f98d87ca3a2fdebaab07b74e",
+                     id="tour"),
+    ]
+
+    @pytest.mark.parametrize("p, digest", CASES)
+    def test_stdout_and_file_digests(self, capsys, tmp_path, p, digest):
+        a_file, out_file = tmp_path / "a.json", tmp_path / "L.json"
+        assert run(capsys, "construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]",
+                   "-o", str(a_file))[0] == 0
+        argv = ("contraction", "--matrix", str(a_file), "--p", p)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert run(capsys, *argv, "-o", str(out_file))[0] == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 class TestPinchExperimentOutputIsPinned:
     """SHA-256 of what ``pinch-experiment`` prints, as the trial-at-a-time sweep printed it.
 

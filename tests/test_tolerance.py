@@ -27,6 +27,7 @@ from majorant import (
     normalize_list,
 )
 from majorant.eigenlists import as_eigenlist
+from majorant.horn import TTransform
 from majorant.sampling import random_majorizing_pair, random_ordered_pair, random_psd, spread_measure
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -199,3 +200,68 @@ def test_eigenlist_has_no_settable_tolerance():
         EigenList([2.0, 1.0], tolerance=1e-3)
     # solver output off-monotone by round-off of the largest entry is accepted
     EigenList([1e6, 1e6 * (1 + 1e-15)])
+
+
+# -- permutation and translation ---------------------------------------------
+# No pair below sits on the edge of the decision slack: every prefix slack
+# of two integer lists is 0 or at least 1 in magnitude, and a pair built by
+# a mixing chain holds with its total slack exactly 0 in exact arithmetic.
+
+MODES = st.sampled_from(["equality", "dominance"])
+equal_length_pairs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(-20, 20), min_size=n, max_size=n)] * 2)
+)
+
+
+def chain_pair(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, lam), unsorted and nonnegative: p is lam carried through 2n random mixing steps."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 2.0, n)
+    p = lam
+    for _ in range(2 * n):
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        p = TTransform(i, j, float(rng.uniform())).apply_to_vector(p)
+    return p, lam
+
+
+def raw_verdicts(p, lam, mode: str = "equality") -> tuple[bool, bool]:
+    """check_majorization of the sorted raw lists, and feasible_diagonal of their magnitudes."""
+    return (
+        check_majorization(normalize_list(p), normalize_list(lam), mode).holds,
+        feasible_diagonal(normalize_list(np.abs(p)), normalize_list(np.abs(lam))),
+    )
+
+
+@SETTINGS
+@given(integer_lists, integer_lists, MODES, st.randoms(use_true_random=False))
+def test_verdicts_are_permutation_free(p, lam, mode, random):
+    want = raw_verdicts(p, lam, mode)
+    random.shuffle(p)
+    random.shuffle(lam)
+    assert raw_verdicts(p, lam, mode) == want
+
+
+@SETTINGS
+@given(equal_length_pairs, st.integers(-(10**6), 10**6))
+def test_equality_verdicts_are_translation_free(pair, c):
+    p, lam = (np.sort(v)[::-1] for v in pair)
+    want = check_majorization(p, lam).holds
+    assert check_majorization(p + c, lam + c).holds == want
+    p, lam = np.abs(p), np.abs(lam)
+    want = feasible_diagonal(normalize_list(p), normalize_list(lam))
+    assert feasible_diagonal(normalize_list(p + abs(c)), normalize_list(lam + abs(c))) == want
+
+
+@SETTINGS
+@given(
+    st.integers(2, 40),
+    st.integers(0, 2**32 - 1),
+    st.floats(-1e6, 1e6),
+    st.randoms(use_true_random=False),
+)
+def test_chain_pairs_hold_under_permutation_and_translation(n, seed, c, random):
+    p, lam = chain_pair(seed, n)
+    order = random.sample(range(n), n)
+    assert raw_verdicts(p, lam) == raw_verdicts(p[order], lam[order]) == (True, True)
+    assert raw_verdicts(p + abs(c), lam + abs(c)) == (True, True)
+    assert check_majorization(normalize_list(p + c), normalize_list(lam + c)).holds
