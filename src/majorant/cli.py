@@ -197,21 +197,15 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "measure":
-        from .measures import moment, tail_integral
+        from .measures import _hinge_tail, _survivor_tail, moment
 
         m = _load_measure(args.source)
-        thresholds = [float(t) for t in m.breakpoints()]
+        x = m.breakpoints()
+        tails = zip(x.tolist(), _survivor_tail(m, x).tolist(), _hinge_tail(m, x).tolist())
         payload = {
             "measure": m.to_jsonable(),
             "moments": [moment(m, k) for k in range(MAX_MOMENT + 1)],
-            "tails": [
-                {
-                    "t": t,
-                    "survivor": tail_integral(m, t, "survivor"),
-                    "hinge": tail_integral(m, t, "hinge"),
-                }
-                for t in thresholds
-            ],
+            "tails": [{"t": t, "survivor": s, "hinge": h} for t, s, h in tails],
         }
         _emit(payload, args.output)
         return 0

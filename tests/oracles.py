@@ -6,13 +6,16 @@ checks, tail integrals summed over a measure's atoms and pieces, the
 reduction loop on freshly appended arrays, and plane rotations applied
 by gathering and scattering whole rows and columns, so that every
 construction is judged by something it did not itself compute.  The
-pinching sweep is judged by its trial-at-a-time form.
+pinching sweep is judged by its trial-at-a-time form, and the
+``convex_family`` spread-order route by its threshold-at-a-time form.
 """
 
 import math
 
 import numpy as np
 
+from majorant._tol import DECISION, scaled
+from majorant.measures import _decisive_thresholds, integrate_function
 from majorant.pinching import WITNESS_TOL, _draw_family, _family_table, _pinch_witnesses
 from majorant.sampling import random_hermitian
 
@@ -155,6 +158,22 @@ def hinge_tail(m, t):
         elif t < b:
             total += w * (b - t) ** 2 / (2.0 * (b - a))
     return float(total)
+
+
+def reference_convex_family_gap(m, n, t):
+    """Tail gap of m over n at ``t``: a fresh hinge closure, integrated against
+    each measure by ``integrate_function`` with t as its kink."""
+    f = lambda x: max(x - t, 0.0)
+    return integrate_function(m, f, kinks=(t,)) - integrate_function(n, f, kinks=(t,))
+
+
+def reference_convex_family(m, n):
+    """``majorize_measure(m, n, "convex_family")`` one threshold at a time,
+    stopping at the first gap above the decision slack."""
+    thresholds = _decisive_thresholds(m, n)
+    tol = scaled(DECISION, thresholds)
+    gap = lambda t: reference_convex_family_gap(m, n, t)
+    return abs(gap(thresholds[0])) <= tol and all(gap(t) <= tol for t in thresholds[1:])
 
 
 def top_k_tail_formula(values, k, t):

@@ -296,6 +296,51 @@ class TestContractionOutputIsPinned:
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+class TestMeasureOutputIsPinned:
+    """SHA-256 of ``measure`` reports, as the tails read one threshold at a time printed them.
+
+    Reading every breakpoint's tails in one array call per mode does the
+    same arithmetic element by element, so the bytes must not move.
+    """
+
+    LAM32 = [1.0 / k for k in range(1, 33)]
+    SOURCES = {
+        "readme": ("[2, 1, 0]", "[1, 1, 1]"),
+        # cli workload size: a construction at n = 32 from a 1/k spectrum
+        # and the average of it and its reverse
+        "n32": (json.dumps(LAM32), json.dumps(sorted(
+            (0.5 * (a + b) for a, b in zip(LAM32, LAM32[::-1])), reverse=True))),
+    }
+    # atoms on a 1/8 grid, some of them on piece ends, and overlapping pieces
+    PIECES = {
+        "atoms": [{"x": k / 8 - 2.0, "mass": 1 / 64} for k in range(32)],
+        "pieces": [{"a": -3.0, "b": 1.0, "mass": 0.25}, {"a": 0.0, "b": 1.875, "mass": 0.125},
+                   {"a": 1.5, "b": 2.25, "mass": 0.125}],
+    }
+    CASES = [
+        pytest.param("readme", "871a3d3bc88602bdd5eaf915e7a68399ee0181dab497bfa1eba924c9c0dcba96",
+                     id="readme"),
+        pytest.param("n32", "037c69d2bc446d05555eca1e695a6a9eb08687c13ef3bbc7cbd9140eceed05b4",
+                     id="n32"),
+        pytest.param("pieces", "458a3850f6a129f1e8bca8f9e63022eab18c5ece91ad4835988069ec45c84bab",
+                     id="pieces"),
+    ]
+
+    @pytest.mark.parametrize("source, digest", CASES)
+    def test_stdout_and_file_digests(self, capsys, tmp_path, source, digest):
+        src, out_file = tmp_path / "src.json", tmp_path / "m.json"
+        if source == "pieces":
+            src.write_text(json.dumps(self.PIECES))
+        else:
+            lam, p = self.SOURCES[source]
+            assert run(capsys, "construct", "--lambda", lam, "--p", p, "-o", str(src))[0] == 0
+        code, out, _ = run(capsys, "measure", str(src))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert run(capsys, "measure", str(src), "-o", str(out_file))[0] == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 class TestPinchExperimentOutputIsPinned:
     """SHA-256 of what ``pinch-experiment`` prints, as the trial-at-a-time sweep printed it.
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import majorant
+import majorant.measures as measures
 
 from majorant import (
     CompactMeasure,
@@ -17,6 +18,7 @@ from majorant import (
     check_majorization,
     from_matrix,
     from_step_function,
+    integrate_function,
     majorize_measure,
     moment,
     normalize_list,
@@ -31,7 +33,14 @@ from majorant.sampling import (
     random_ordered_pair,
 )
 
-from oracles import decreasing_grid_lists, hinge_sum, hinge_tail, top_k_tail_formula
+from oracles import (
+    decreasing_grid_lists,
+    hinge_sum,
+    hinge_tail,
+    reference_convex_family,
+    reference_convex_family_gap,
+    top_k_tail_formula,
+)
 
 HALF_HALF = CompactMeasure(atoms=((0.0, 0.5), (1.0, 0.5)))
 METHODS = ("hinge", "survivor", "convex_family")
@@ -319,6 +328,158 @@ class TestMajorizeMeasure:
                     assert classical == bridged
                     checked += 1
         assert checked >= 40
+
+
+def rescaled(m: CompactMeasure, c: float) -> CompactMeasure:
+    return CompactMeasure(
+        atoms=tuple((x * c, w) for x, w in m.atoms),
+        pieces=tuple((a * c, b * c, w) for a, b, w in m.pieces),
+    )
+
+
+def criterion_09_pairs():
+    """The 500 random pairs of acceptance criterion 09, drawn in its order."""
+    rng = np.random.default_rng(1009)
+    pairs = []
+    for trial in range(500):
+        if trial % 2 == 0:
+            pairs.append(random_ordered_pair(rng))
+        else:
+            m, n = random_measure(rng), random_measure(rng)
+            if trial % 4 == 1:
+                n = n.shifted(moment(m, 1) - moment(n, 1))
+            pairs.append((m, n))
+    return pairs
+
+
+class TestIntegrateFunction:
+    def test_hinge_with_listed_kink_equals_tail(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            m = random_measure(rng)
+            lo, hi = m.support_bounds()
+            inside = rng.uniform(lo, hi, 3)
+            for t in [*m.breakpoints(), *inside, lo - 1.0, hi + 1.0]:
+                got = integrate_function(m, lambda x: max(x - t, 0.0), kinks=(t,))
+                scale = max(abs(lo), abs(hi), abs(t))
+                assert abs(got - tail_integral(m, t, "hinge")) <= 1e-13 * scale
+
+    def test_atoms_only(self):
+        m = CompactMeasure(atoms=((-1.0, 0.25), (0.5, 0.25), (2.0, 0.5)))
+        assert integrate_function(m, lambda x: x * x) == pytest.approx(moment(m, 2), abs=1e-15)
+        assert integrate_function(m, lambda x: max(x - 0.0, 0.0)) == pytest.approx(1.125, abs=1e-15)
+
+    def test_pieces_only(self):
+        # two Gauss nodes integrate cubics exactly on each piece
+        m = CompactMeasure(pieces=((0.0, 1.0, 0.5), (0.5, 3.0, 0.5)))
+        assert integrate_function(m, lambda x: x**3) == pytest.approx(moment(m, 3), abs=1e-14)
+        got = integrate_function(m, lambda x: max(x - 0.75, 0.0), kinks=(0.75,))
+        assert got == pytest.approx(tail_integral(m, 0.75, "hinge"), abs=1e-15)
+
+    def test_unlisted_kink_inside_a_piece_is_not_exact(self):
+        # the split at a listed kink is what makes a hinge exact
+        f = lambda x: max(x - 0.5, 0.0)
+        uniform = CompactMeasure.uniform(0.0, 1.0)
+        assert integrate_function(uniform, f, kinks=(0.5,)) == pytest.approx(0.125, abs=1e-16)
+        assert abs(integrate_function(uniform, f) - 0.125) > 1e-2
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
+    def test_kink_at_a_piece_end(self, t):
+        # t is an end of one piece (no split there) and inside the other
+        m = CompactMeasure(atoms=((1.0, 0.2),), pieces=((0.0, 1.0, 0.4), (1.0, 2.0, 0.4)))
+        got = integrate_function(m, lambda x: max(x - t, 0.0), kinks=(t,))
+        assert got == pytest.approx(hinge_tail(m, t), abs=1e-15)
+        assert got == pytest.approx(tail_integral(m, t, "hinge"), abs=1e-15)
+
+    @pytest.mark.parametrize("t", [-5.0, 10.0])
+    def test_kink_outside_the_support(self, t):
+        m = CompactMeasure(atoms=((0.25, 0.5),), pieces=((0.5, 1.0, 0.5),))
+        got = integrate_function(m, lambda x: max(x - t, 0.0), kinks=(t,))
+        assert got == pytest.approx(max(moment(m, 1) - t, 0.0), abs=1e-14)
+
+
+class TestConvexFamilyRoute:
+    """``convex_family`` applies integrate_function's rule to every threshold in one pass."""
+
+    @staticmethod
+    def batched_gaps(m, n):
+        thresholds = measures._decisive_thresholds(m, n)
+        gaps = measures._quadrature_tail(m, thresholds) - measures._quadrature_tail(n, thresholds)
+        return thresholds, gaps
+
+    def assert_matches_reference(self, m, n):
+        thresholds, gaps = self.batched_gaps(m, n)
+        expected = [reference_convex_family_gap(m, n, t) for t in thresholds]
+        scale = float(np.max(np.abs(thresholds)))
+        np.testing.assert_allclose(gaps, expected, rtol=0.0, atol=1e-15 * scale)
+        verdicts = {method: majorize_measure(m, n, method) for method in METHODS}
+        assert set(verdicts.values()) == {reference_convex_family(m, n)}, verdicts
+        return verdicts["convex_family"]
+
+    def test_batched_gaps_match_reference(self):
+        rng = np.random.default_rng(47)
+        for trial in range(100):
+            if trial % 2 == 0:
+                m, n = random_ordered_pair(rng)
+            else:
+                m, n = random_measure(rng), random_measure(rng)
+            self.assert_matches_reference(m, n)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e6])
+    def test_verdicts_match_reference_on_criterion_09_pairs(self, scale):
+        verdicts = {True: 0, False: 0}
+        for m, n in criterion_09_pairs():
+            m, n = rescaled(m, scale), rescaled(n, scale)
+            got = majorize_measure(m, n, "convex_family")
+            assert got == reference_convex_family(m, n)
+            assert got == majorize_measure(m, n, "hinge") == majorize_measure(m, n, "survivor")
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 100
+
+    def test_decision_calls_no_integrate_function(self, monkeypatch):
+        calls = []
+        original = measures.integrate_function
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "integrate_function", counted)
+        rng = np.random.default_rng(53)
+        for _ in range(5):
+            m, n = random_ordered_pair(rng)
+            assert majorize_measure(m, n, "convex_family")
+        assert not majorize_measure(HALF_HALF, CompactMeasure.point(0.5), "convex_family")
+        assert calls == []
+
+    def test_unhashable_method_rejected(self):
+        with pytest.raises(InvalidInput):
+            majorize_measure(HALF_HALF, HALF_HALF, ["convex_family"])
+
+    def test_point_against_itself(self):
+        point = CompactMeasure.point(0.3)
+        thresholds, gaps = self.batched_gaps(point, point)
+        np.testing.assert_array_equal(thresholds, [0.3])
+        np.testing.assert_array_equal(gaps, [0.0])
+        assert self.assert_matches_reference(point, point)
+
+    def test_two_point_masses(self):
+        a, b = CompactMeasure.point(0.0), CompactMeasure.point(1.0)
+        assert not self.assert_matches_reference(a, b)
+        assert not self.assert_matches_reference(b, a)
+
+    def test_piece_only_pairs(self):
+        inner = CompactMeasure(pieces=((0.0, 1.0, 0.5), (0.25, 0.75, 0.5)))
+        outer = CompactMeasure(pieces=((-1.0, 2.0, 0.5), (0.0, 1.0, 0.5)))
+        assert self.assert_matches_reference(inner, outer)
+        assert not self.assert_matches_reference(outer, inner)
+
+    def test_atoms_on_the_other_measures_piece_ends(self):
+        # n spreads the atom at 0 over [-1, 0] and the one at 1 over [1, 2];
+        # its tail exceeds m's by (t/2 + 1/2)^2 on [-1, 0], by 1/4 on [0, 1]
+        n = CompactMeasure(pieces=((-1.0, 0.0, 0.5), (1.0, 2.0, 0.5)))
+        assert self.assert_matches_reference(HALF_HALF, n)
+        assert not self.assert_matches_reference(n, HALF_HALF)
 
 
 def test_order_decision_leaves_numpy_ma_unimported():
