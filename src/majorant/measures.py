@@ -6,23 +6,28 @@ closed form, so order tests are limited only by round-off and never by
 quadrature error.  Each measure also holds its breakpoint grid (the
 distinct atom locations and piece ends, the atom mass at each, the
 density and mass of each gap), from which survivor, tails, support and
-quantiles are read.  ``majorize_measure`` decides whether one measure is
-dominated by another in the convex/spread sense; three routes to the
-same verdict are provided and must agree.  Two read tail integrals in
-closed form from the grid; the third, ``convex_family``, integrates the
-hinges against the atoms and pieces themselves by two-point Gauss
-quadrature, split at each threshold, for all thresholds in one array
-pass, so it shares no formula with the other two.
+quantiles are read, and next to it the tail tables, built once per
+measure: the suffix sums each closed-form tail reads and the atom and
+piece columns the quadrature reads.  ``majorize_measure`` decides
+whether one measure is dominated by another in the convex/spread sense;
+three routes to the same verdict are provided and must agree.  Two read
+tail integrals in closed form from the grid; the third,
+``convex_family``, integrates the hinges against the atoms and pieces
+themselves by two-point Gauss quadrature, split at each threshold, for
+all thresholds in one array pass, so it shares no formula with the
+other two.  A decision locates its thresholds in these tables and
+combines what it finds; it rebuilds no table and parses no tuple.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._tol import DECISION, ROUND_OFF, scaled
+from ._tol import DECISION, ROUND_OFF
 from .eigenlists import _readonly_copy
 from .errors import InvalidInput
 from .horn import MatrixLike, as_hermitian
@@ -40,7 +45,7 @@ class CompactMeasure:
     ``atoms`` is a sequence of (location, mass) pairs and ``pieces`` a
     sequence of (a, b, mass) triples, each spreading its mass uniformly
     over [a, b].  Total mass must be 1.  Ordering computations read the
-    breakpoint grid built from both on construction.
+    breakpoint grid and the tail tables built from both on construction.
     """
 
     atoms: tuple = ()
@@ -49,23 +54,22 @@ class CompactMeasure:
     def __post_init__(self):
         atoms = tuple((float(x), float(w)) for x, w in self.atoms)
         pieces = tuple((float(a), float(b), float(w)) for a, b, w in self.pieces)
-        total = 0.0
         for x, w in atoms:
-            if not (np.isfinite(x) and np.isfinite(w)):
+            if not (math.isfinite(x) and math.isfinite(w)):
                 raise InvalidInput("atom data must be finite")
             if w <= 0.0:
                 raise InvalidInput("atom masses must be positive")
-            total += w
         for a, b, w in pieces:
-            if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(w)):
+            if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(w)):
                 raise InvalidInput("piece data must be finite")
             if not a < b:
                 raise InvalidInput("piece needs a < b (use an atom for a point)")
             if w <= 0.0:
                 raise InvalidInput("piece masses must be positive")
-            total += w
         if not atoms and not pieces:
             raise InvalidInput("measure needs at least one atom or piece")
+        # correctly rounded, so the error does not grow with the number of masses
+        total = math.fsum([w for _, w in atoms] + [w for _, _, w in pieces])
         if abs(total - 1.0) > ROUND_OFF:
             raise InvalidInput(f"total mass {total!r} differs from 1")
         object.__setattr__(self, "atoms", atoms)
@@ -83,8 +87,26 @@ class CompactMeasure:
             dens[lo + 1 : hi + 1] += d
         cell = np.zeros_like(dens)
         cell[1:-1] = dens[1:-1] * (x[1:] - x[:-1])
-        grid = {"_x": x, "_atom": atom, "_dens": dens, "_cell": cell, "_above": _suffix(atom + cell[1:])}
-        for name, arr in grid.items():
+        above = _suffix(atom + cell[1:])
+
+        # the tail tables: suffix sums of w (x - centre) over the atoms and
+        # whole gaps above each x_j, about a centre of the support so that a
+        # measure far from 0 loses no more digits than its width costs; suffix
+        # sums of the survivor's integral over each gap, which is affine there,
+        # so width times the survivor at the midpoint is exact; and the atoms
+        # and pieces as columns against a row of thresholds
+        centre = 0.5 * (x[0] + x[-1])
+        mids = 0.5 * (x[:-1] + x[1:])
+        first = _suffix(atom * (x - centre) + np.append(cell[1:-1] * (mids - centre), 0.0))
+        whole = _suffix(np.append(np.diff(x) * (above[1:-1] + 0.5 * cell[1:-1]), 0.0))
+        object.__setattr__(self, "_centre", centre)
+        tables = {
+            "_x": x, "_atom": atom, "_dens": dens, "_cell": cell, "_above": above,
+            "_first": first, "_whole": whole,
+            "_atom_x": atom_x[:, None], "_atom_w": atom_w[:, None],
+            "_piece_a": piece_a[:, None], "_piece_b": piece_b[:, None], "_piece_w": piece_w[:, None],
+        }
+        for name, arr in tables.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -233,23 +255,15 @@ def _locate(m: CompactMeasure, t):
 
 
 def _hinge_tail(m: CompactMeasure, t):
-    # w (x - t) over the atoms and whole gaps above t from suffix sums of
-    # first moments about a centre of the support, so that a measure far
-    # from 0 loses no more digits than its width costs; then t's own gap
-    centre = 0.5 * (m._x[0] + m._x[-1])
-    mids = 0.5 * (m._x[:-1] + m._x[1:])
-    first = _suffix(m._atom * (m._x - centre) + np.append(m._cell[1:-1] * (mids - centre), 0.0))
+    # atoms and whole gaps above t from the first-moment suffix, then t's own gap
     j, h, dens = _locate(m, t)
-    return first[j] - (t - centre) * m._above[j] + 0.5 * dens * h * h
+    return m._first[j] - (t - m._centre) * m._above[j] + 0.5 * dens * h * h
 
 
 def _survivor_tail(m: CompactMeasure, t):
-    # integrate the survivor s -> m([s, oo)) from t upward; it is affine
-    # on each gap, so width times the survivor at the midpoint is exact
-    gaps = np.diff(m._x) * (m._above[1:-1] + 0.5 * m._cell[1:-1])
-    whole = _suffix(np.append(gaps, 0.0))
+    # whole gaps above t from the survivor suffix, then t's own gap
     j, h, dens = _locate(m, t)
-    return whole[j] + h * (m._above[j] + 0.5 * dens * h)
+    return m._whole[j] + h * (m._above[j] + 0.5 * dens * h)
 
 
 def tail_integral(m: CompactMeasure, t: float, mode: str = "hinge") -> float:
@@ -304,9 +318,8 @@ def _quadrature_tail(m: CompactMeasure, t: np.ndarray) -> np.ndarray:
     piece is split at t clamped into [a, b] (a part of zero width gives
     exactly 0) and each part gets the two Gauss nodes.  Summing the rows
     down the first axis adds them in the order ``integrate_function`` does.
+    Only the blocks the measure has are built.
     """
-    x, w = (col[:, None] for col in np.array(m.atoms, dtype=float).reshape(-1, 2).T)
-    a, b, v = (col[:, None] for col in np.array(m.pieces, dtype=float).reshape(-1, 3).T)
 
     def gauss(lo, hi):
         h = hi - lo
@@ -314,9 +327,14 @@ def _quadrature_tail(m: CompactMeasure, t: np.ndarray) -> np.ndarray:
         nodes = np.maximum(mid - h * _GL_OFFSET - t, 0.0) + np.maximum(mid + h * _GL_OFFSET - t, 0.0)
         return 0.5 * h * nodes
 
-    cut = np.clip(t, a, b)
-    parts = gauss(a, cut) + gauss(cut, b)
-    return np.concatenate([w * np.maximum(x - t, 0.0), v * parts / (b - a)]).sum(axis=0)
+    rows = []
+    if m._atom_x.size:
+        rows.append(m._atom_w * np.maximum(m._atom_x - t, 0.0))
+    if m._piece_a.size:
+        a, b = m._piece_a, m._piece_b
+        cut = np.clip(t, a, b)
+        rows.append(m._piece_w * (gauss(a, cut) + gauss(cut, b)) / (b - a))
+    return np.concatenate(rows).sum(axis=0)
 
 
 # -- the spread order -----------------------------------------------------
@@ -371,7 +389,8 @@ def majorize_measure(m: CompactMeasure, n: CompactMeasure, method: str = "hinge"
 
     tail = _ROUTES[method]
     thresholds = _decisive_thresholds(m, n)
-    tol = scaled(DECISION, thresholds)  # sorted, so its ends are those of the supports
+    # sorted, so the largest magnitude is at one of its ends, those of the supports
+    tol = DECISION * max(abs(thresholds[0]), abs(thresholds[-1]))
     gaps = tail(m, thresholds) - tail(n, thresholds)
     return bool(abs(gaps[0]) <= tol and np.all(gaps <= tol))
 

@@ -8,6 +8,9 @@ by gathering and scattering whole rows and columns, so that every
 construction is judged by something it did not itself compute.  The
 pinching sweep is judged by its trial-at-a-time form, and the
 ``convex_family`` spread-order route by its threshold-at-a-time form.
+The three tails a spread-order decision reads are also kept in the form
+that rebuilds every suffix sum and parses the atoms and pieces on each
+call, to judge the tables a measure builds once.
 """
 
 import math
@@ -15,7 +18,7 @@ import math
 import numpy as np
 
 from majorant._tol import DECISION, scaled
-from majorant.measures import _decisive_thresholds, integrate_function
+from majorant.measures import _GL_OFFSET, _decisive_thresholds, _locate, integrate_function
 from majorant.pinching import WITNESS_TOL, _draw_family, _family_table, _pinch_witnesses
 from majorant.sampling import random_hermitian
 
@@ -174,6 +177,66 @@ def reference_convex_family(m, n):
     tol = scaled(DECISION, thresholds)
     gap = lambda t: reference_convex_family_gap(m, n, t)
     return abs(gap(thresholds[0])) <= tol and all(gap(t) <= tol for t in thresholds[1:])
+
+
+def _suffix_from_scratch(v):
+    return np.append(np.cumsum(v[::-1])[::-1], 0.0)
+
+
+def reference_hinge_tail(m, t):
+    """``hinge`` tails at the array ``t``, first-moment suffix sums rebuilt on each call."""
+    centre = 0.5 * (m._x[0] + m._x[-1])
+    mids = 0.5 * (m._x[:-1] + m._x[1:])
+    first = _suffix_from_scratch(
+        m._atom * (m._x - centre) + np.append(m._cell[1:-1] * (mids - centre), 0.0))
+    j, h, dens = _locate(m, t)
+    return first[j] - (t - centre) * m._above[j] + 0.5 * dens * h * h
+
+
+def reference_survivor_tail(m, t):
+    """``survivor`` tails at the array ``t``, gap-integral suffix sums rebuilt on each call."""
+    gaps = np.diff(m._x) * (m._above[1:-1] + 0.5 * m._cell[1:-1])
+    whole = _suffix_from_scratch(np.append(gaps, 0.0))
+    j, h, dens = _locate(m, t)
+    return whole[j] + h * (m._above[j] + 0.5 * dens * h)
+
+
+def reference_quadrature_tail(m, t):
+    """``convex_family`` tails at the array ``t``, parsing ``atoms`` and ``pieces`` on each call
+    and always building both row blocks."""
+    x, w = (col[:, None] for col in np.array(m.atoms, dtype=float).reshape(-1, 2).T)
+    a, b, v = (col[:, None] for col in np.array(m.pieces, dtype=float).reshape(-1, 3).T)
+
+    def gauss(lo, hi):
+        h = hi - lo
+        mid = 0.5 * (lo + hi)
+        nodes = np.maximum(mid - h * _GL_OFFSET - t, 0.0) + np.maximum(mid + h * _GL_OFFSET - t, 0.0)
+        return 0.5 * h * nodes
+
+    cut = np.clip(t, a, b)
+    parts = gauss(a, cut) + gauss(cut, b)
+    return np.concatenate([w * np.maximum(x - t, 0.0), v * parts / (b - a)]).sum(axis=0)
+
+
+REFERENCE_TAILS = {
+    "hinge": reference_hinge_tail,
+    "survivor": reference_survivor_tail,
+    "convex_family": reference_quadrature_tail,
+}
+
+
+def reference_gaps(m, n, method):
+    """The decisive thresholds of (m, n) and the tail gaps ``method`` reads there."""
+    thresholds = _decisive_thresholds(m, n)
+    tail = REFERENCE_TAILS[method]
+    return thresholds, tail(m, thresholds) - tail(n, thresholds)
+
+
+def reference_majorize_measure(m, n, method):
+    """``majorize_measure`` from the reference tails and the policy's ``scaled`` slack."""
+    thresholds, gaps = reference_gaps(m, n, method)
+    tol = scaled(DECISION, thresholds)
+    return bool(abs(gaps[0]) <= tol and np.all(gaps <= tol))
 
 
 def top_k_tail_formula(values, k, t):

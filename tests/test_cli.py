@@ -341,6 +341,64 @@ class TestMeasureOutputIsPinned:
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+class TestMajorizeMeasureOutputIsPinned:
+    """SHA-256 and exit code of ``majorize-measure``, as the tails rebuilt per call printed them.
+
+    Reading the tail tables each measure builds once does the same
+    arithmetic, so neither the verdicts nor their bytes may move.
+    """
+
+    TRUE = "4be26bf0edfe233fb9aa39ffb505ea294a82d7ff8b82b2b56cb5f541ae7d960e"
+    FALSE = "e0a9b6440e6e43ec3ad492a53c5ccdc0fcbe249275ac4d95db0c982df38860e0"
+    CASES = [
+        # the README pair: a point mass at the mean below the README construction
+        pytest.param("point", "a3", 0, TRUE, id="readme"),
+        # cli workload shape: the diagonal distribution below an n = 32 construction
+        pytest.param("diag", "a32", 0, TRUE, id="n32"),
+        pytest.param("a32", "diag", 1, FALSE, id="false"),
+    ]
+
+    @pytest.mark.parametrize("m, n, code, digest", CASES)
+    def test_stdout_and_exit_code(self, capsys, tmp_path, m, n, code, digest):
+        lam32, p32 = (json.loads(s) for s in TestMeasureOutputIsPinned.SOURCES["n32"])
+        files = {name: tmp_path / f"{name}.json" for name in ("point", "diag", "a3", "a32")}
+        files["point"].write_text(json.dumps({"atoms": [{"x": 1.0, "mass": 1.0}]}))
+        files["diag"].write_text(json.dumps({"atoms": [
+            {"x": x, "mass": p32.count(x) / 32} for x in sorted(set(p32))]}))
+        for name, lam, p in (("a3", [2, 1, 0], [1, 1, 1]), ("a32", lam32, p32)):
+            assert run(capsys, "construct", "--lambda", json.dumps(lam), "--p", json.dumps(p),
+                       "-o", str(files[name]))[0] == 0
+        got, out, _ = run(capsys, "majorize-measure", "--m", str(files[m]), "--n", str(files[n]))
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestTransportOutputIsPinned:
+    """SHA-256 of ``transport --cells 100``, as the quantiles read from the grid printed them."""
+
+    CASES = [
+        pytest.param("readme", "765696df6f2f1e23faba277bf646e6f62e531458865c34dca61e619f6817a59d",
+                     id="readme"),
+        pytest.param("pieces", "8f037c0c29aa8bfbb1fb019b1804bab9e10c1455bc5893e9eb3d885ceb0c3619",
+                     id="pieces"),
+    ]
+
+    @pytest.mark.parametrize("source, digest", CASES)
+    def test_stdout_and_file_digests(self, capsys, tmp_path, source, digest):
+        src, out_file = tmp_path / "src.json", tmp_path / "f.json"
+        if source == "pieces":
+            src.write_text(json.dumps(TestMeasureOutputIsPinned.PIECES))
+        else:
+            assert run(capsys, "construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]",
+                       "-o", str(src))[0] == 0
+        argv = ("transport", "--measure", str(src), "--cells", "100")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert run(capsys, *argv, "-o", str(out_file))[0] == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 class TestPinchExperimentOutputIsPinned:
     """SHA-256 of what ``pinch-experiment`` prints, as the trial-at-a-time sweep printed it.
 

@@ -39,6 +39,10 @@ from oracles import (
     hinge_tail,
     reference_convex_family,
     reference_convex_family_gap,
+    reference_gaps,
+    reference_hinge_tail,
+    reference_majorize_measure,
+    reference_survivor_tail,
     top_k_tail_formula,
 )
 
@@ -62,6 +66,17 @@ class TestCompactMeasureType:
     def test_support_must_be_finite(self):
         with pytest.raises(InvalidInput):
             CompactMeasure(atoms=((np.inf, 1.0),))
+
+    def test_many_equal_masses_total_one(self):
+        # a left-to-right sum of 10^5 masses 1/n drifts past the round-off level
+        rng = np.random.default_rng(5)
+        m = CompactMeasure.from_points(rng.normal(size=100_000))
+        assert m._x.size == 100_000
+
+    def test_reads_back_its_own_transport(self):
+        f = quantile_transport(CompactMeasure.uniform(0.0, 1.0), 100_000)
+        m = from_step_function(f)
+        assert m.support_bounds() == (f.values[0], f.values[-1])
 
     def test_json_round_trip(self):
         m = CompactMeasure(atoms=((0.5, 0.25),), pieces=((0.0, 2.0, 0.75),))
@@ -480,6 +495,123 @@ class TestConvexFamilyRoute:
         n = CompactMeasure(pieces=((-1.0, 0.0, 0.5), (1.0, 2.0, 0.5)))
         assert self.assert_matches_reference(HALF_HALF, n)
         assert not self.assert_matches_reference(n, HALF_HALF)
+
+
+def draw_measure(rng, kind: str) -> CompactMeasure:
+    """A random measure of one kind: ``atoms``, ``pieces`` or ``mixed``.
+
+    Half the draws put every location on a 1/4 grid, so that atoms land
+    on piece ends and pieces share ends.
+    """
+    n_atoms = int(rng.integers(1, 9)) if kind != "pieces" else 0
+    n_pieces = int(rng.integers(1, 5)) if kind != "atoms" else 0
+    snap = (lambda v: np.round(4.0 * v) / 4.0) if rng.random() < 0.5 else (lambda v: v)
+    w = rng.dirichlet(np.ones(n_atoms + n_pieces))
+    xs = snap(rng.uniform(-2.0, 2.0, n_atoms))
+    starts = snap(rng.uniform(-2.0, 2.0, n_pieces))
+    ends = starts + snap(rng.uniform(0.25, 2.0, n_pieces))
+    return CompactMeasure(atoms=tuple(zip(xs, w[:n_atoms])),
+                          pieces=tuple(zip(starts, ends, w[n_atoms:])))
+
+
+def table_test_pairs():
+    """1000 random measures in 500 pairs: atom-only, piece-only, mixed, mixed
+    shifted by 1e6 and mixed scaled by 1e-12; in every other pair m is n
+    with some mass swept to its barycentre, so that both verdicts occur."""
+    rng = np.random.default_rng(2015)
+    kinds = {
+        "atoms": lambda m: m,
+        "pieces": lambda m: m,
+        "mixed": lambda m: m,
+        "shifted": lambda m: m.shifted(1e6),
+        "scaled": lambda m: rescaled(m, 1e-12),
+    }
+    pairs = []
+    for kind, move in kinds.items():
+        base = "mixed" if kind in ("shifted", "scaled") else kind
+        for trial in range(100):
+            n = draw_measure(rng, base)
+            m = concentrate_measure(rng, n) if trial % 2 else draw_measure(rng, base)
+            pairs.append((kind, move(m), move(n)))
+    return pairs
+
+
+TABLES = ("_x", "_atom", "_dens", "_cell", "_above", "_first", "_whole",
+          "_atom_x", "_atom_w", "_piece_a", "_piece_b", "_piece_w")
+
+
+class TestTailTables:
+    """Each measure builds its tail tables once; a decision only locates its thresholds."""
+
+    def test_tails_and_gaps_match_references_bit_for_bit(self):
+        verdicts = {True: 0, False: 0}
+        for kind, m, n in table_test_pairs():
+            thresholds = measures._decisive_thresholds(m, n)
+            for measure in (m, n):
+                for t in (thresholds, measure.breakpoints()):
+                    assert (measures._hinge_tail(measure, t).tobytes()
+                            == reference_hinge_tail(measure, t).tobytes()), kind
+                    assert (measures._survivor_tail(measure, t).tobytes()
+                            == reference_survivor_tail(measure, t).tobytes()), kind
+            for method, tail in measures._ROUTES.items():
+                _, expected = reference_gaps(m, n, method)
+                gaps = tail(m, thresholds) - tail(n, thresholds)
+                assert gaps.tobytes() == expected.tobytes(), (kind, method)
+                got = majorize_measure(m, n, method)
+                assert got == reference_majorize_measure(m, n, method), (kind, method)
+                verdicts[got] += 1
+        assert min(verdicts.values()) >= 300
+
+    def test_scalar_tails_match_references(self):
+        rng = np.random.default_rng(2016)
+        for kind in ("atoms", "pieces", "mixed"):
+            m = draw_measure(rng, kind)
+            lo, hi = m.support_bounds()
+            for t in [lo - 1.0, lo, *rng.uniform(lo, hi, 5), *m.breakpoints(), hi, hi + 1.0]:
+                t = float(t)
+                assert tail_integral(m, t, "hinge") == float(reference_hinge_tail(m, t))
+                assert tail_integral(m, t, "survivor") == float(reference_survivor_tail(m, t))
+
+    def test_verdicts_match_references_on_criterion_09_pairs(self):
+        for m, n in criterion_09_pairs():
+            for method in METHODS:
+                assert majorize_measure(m, n, method) == reference_majorize_measure(m, n, method)
+
+    def test_decision_rebuilds_no_table_and_parses_no_tuple(self, monkeypatch):
+        class Unparsed:
+            def refuse(self, *args, **kwargs):
+                raise AssertionError("a decision parsed the atoms or pieces")
+
+            __iter__ = __len__ = __getitem__ = __array__ = refuse
+
+        rng = np.random.default_rng(2017)
+        built = [(draw_measure(rng, kind), draw_measure(rng, kind)) for kind in ("atoms", "pieces", "mixed")]
+        built += [random_ordered_pair(rng) for _ in range(3)]
+        expected = [[reference_majorize_measure(m, n, method) for method in METHODS]
+                    for m, n in built]
+        calls = []
+        original = measures._suffix
+
+        def counted(v):
+            calls.append(1)
+            return original(v)
+
+        monkeypatch.setattr(measures, "_suffix", counted)
+        decide = lambda: [[majorize_measure(m, n, method) for method in METHODS] for m, n in built]
+        assert decide() == expected
+        assert calls == []
+        for m, n in built:
+            for measure in (m, n):
+                object.__setattr__(measure, "atoms", Unparsed())
+                object.__setattr__(measure, "pieces", Unparsed())
+        assert decide() == expected
+
+    @pytest.mark.parametrize("kind", ["atoms", "pieces", "mixed"])
+    def test_tables_are_read_only(self, kind):
+        m = draw_measure(np.random.default_rng(2018), kind)
+        for name in TABLES:
+            with pytest.raises(ValueError):
+                getattr(m, name)[...] = 0.0
 
 
 def test_order_decision_leaves_numpy_ma_unimported():
