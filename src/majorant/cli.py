@@ -4,8 +4,8 @@ Lists may be given inline as JSON literals ("[2, 1, 0]") or as paths to
 JSON files ({"values": [...]}) or CSV files (one value per line).
 Matrices, measures and step functions travel as JSON files in the
 schemas used throughout the package.  Exit status: 0 for success or a
-true verdict, 1 for a false verdict, 2 for malformed input.  Each
-command imports only the modules it runs.
+true verdict, 1 for a false verdict, 2 for malformed input or for
+running out of memory.  Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -253,8 +253,8 @@ def main(argv: list[str] | None = None) -> int:
     except MajorantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (json.JSONDecodeError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

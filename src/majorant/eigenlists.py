@@ -178,12 +178,12 @@ def reduce_to_equality(p: ListLike, lam: ListLike, tol: float = DEFAULT_TOL) -> 
     # buf[:k] is the length-k iterate; buf[k - 1] is still the appended zero
     buf = np.zeros(n)
     buf[0] = pv[0]
-    target = pv[0]
-    for k in range(2, n + 1):
+    target = float(pv[0])  # Python floats: the same IEEE arithmetic as NumPy scalars
+    for k, pk in enumerate(pv[1:].tolist(), start=2):
         x = buf[:k]
         y = lv[:k]
-        target += pv[k - 1]
-        fx, fy = x.sum(), y.sum()
+        target += pk
+        fx, fy = float(x.sum()), float(y.sum())
         if fy <= fx:
             s = 0.0
         else:

@@ -16,9 +16,11 @@ blocks of a chain are built once, in one vectorized pass over its
 weights, and each step then costs two products on strided views.  The
 product of a chain's rotations is an eigenframe of its construction
 (``horn_frame``); a construction keeps its spectrum and chain, so
-``eigh_desc`` of it takes no eigensolve.  Also provides the
-top-k eigenvalue sums (the trace maximum over rank-k projections) and
-spectral alignment of two matrices with entrywise-close spectra.
+``eigh_desc`` of it takes no eigensolve.  Input is validated once: a unitary
+similarity of a validated matrix, or its diagonal, is self-adjoint by
+construction, so ``HermitianMatrix._adopt`` keeps it read-only and uncopied,
+checked only for finiteness.  Also provides top-k eigenvalue sums (the trace
+maximum over rank-k projections) and alignment of close spectra.
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ class HermitianMatrix:
         _check_self_adjoint(arr)
         object.__setattr__(self, "entries", _readonly_copy(arr))
 
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, chain: tuple | None = None) -> "HermitianMatrix":
+        """Own ``arr``, self-adjoint by construction: checked finite, made read-only, not copied."""
+        if not np.isfinite(arr).all():
+            raise InvalidInput("matrix entries must be finite")
+        arr.flags.writeable = False
+        matrix = object.__new__(cls)
+        vars(matrix).update(entries=arr, _chain=chain)
+        return matrix
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
@@ -71,7 +83,7 @@ class HermitianMatrix:
 
     @classmethod
     def from_diagonal(cls, values: ListLike) -> "HermitianMatrix":
-        return cls(np.diag(as_eigenlist(values).values))
+        return cls._adopt(np.diag(as_eigenlist(values).values))
 
     def to_jsonable(self) -> dict:
         return matrix_to_jsonable(self.entries)
@@ -169,18 +181,23 @@ class TTransform:
         return {"i": self.i, "j": self.j, "t": self.t}
 
 
-def _mixing_steps(lam: ListLike, p: ListLike, tol: float) -> tuple[list[int], list[int], np.ndarray]:
-    """Pivots i < j and weights t of the mixing chain carrying ``lam`` onto ``p``.
-
-    The rule of ``t_transform_chain``, with each t clamped into [0, 1]
-    as ``TTransform`` clamps it.  A scan that runs off the end before
-    n - 1 steps must leave x within ``tol`` (scaled to the lists) of p.
-    """
+def _feasible(lam: ListLike, p: ListLike, tol: float) -> tuple[EigenList, EigenList]:
+    """``lam`` and ``p`` as lists, checked: equal lengths, p majorized by lam with equal totals."""
     le, pe = as_eigenlist(lam), as_eigenlist(p)
     if len(le) != len(pe):
         raise InvalidInput("lists must have equal length")
     if not check_majorization(pe, le, "equality", tol).holds:
         raise MajorizationViolation("p must be majorized by lam with equal totals")
+    return le, pe
+
+
+def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> tuple[list[int], list[int], np.ndarray]:
+    """Pivots i < j and weights t of the mixing chain carrying a checked pair ``le`` onto ``pe``.
+
+    The rule of ``t_transform_chain``, with each t clamped into [0, 1]
+    as ``TTransform`` clamps it.  A scan that runs off the end before
+    n - 1 steps must leave x within ``tol`` (scaled to the lists) of p.
+    """
     x = le.values.tolist()
     pv = pe.values.tolist()
     n = len(x)
@@ -228,7 +245,7 @@ def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DECISION) -> list
     coordinate, so at most n-1 steps are produced.  A step moves only x_i
     and x_j, each towards its target, so both pivots only move right.
     """
-    pivots_i, pivots_j, t = _mixing_steps(lam, p, tol)
+    pivots_i, pivots_j, t = _mixing_steps(*_feasible(lam, p, tol), tol)
     return list(map(TTransform, pivots_i, pivots_j, t.tolist()))
 
 
@@ -255,9 +272,9 @@ def _rotation_blocks(t: np.ndarray) -> np.ndarray:
 _Chain = tuple[list[int], list[int], np.ndarray]
 
 
-def _chain_steps(lam: ListLike, p: ListLike, tol: float) -> _Chain:
-    """The rotations of the mixing chain, every block built in one pass."""
-    pivots_i, pivots_j, t = _mixing_steps(lam, p, tol)
+def _chain_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
+    """The rotations of the mixing chain of a checked pair, every block built in one pass."""
+    pivots_i, pivots_j, t = _mixing_steps(le, pe, tol)
     return pivots_i, pivots_j, _rotation_blocks(t)
 
 
@@ -309,7 +326,7 @@ def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.nda
     _rotate(result, _Step(i, j, block))
     U = np.eye(A.dim, dtype=result.dtype)
     U[i : j + 1 : j - i, i : j + 1 : j - i] = block
-    return U, HermitianMatrix(result)
+    return U, HermitianMatrix._adopt(result)
 
 
 def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> HermitianMatrix:
@@ -318,19 +335,17 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> Hermiti
     Feasible exactly when p is majorized by lam with equal totals.
     Starts from the diagonal matrix of lam and conjugates along the
     mixing chain; every step is a similarity, so the spectrum never
-    moves while the diagonal walks to p.  Only the finished matrix is validated.
-    The matrix keeps ``lam`` and the chain, for ``eigh_desc``.
+    moves while the diagonal walks to p.  Only the input is validated; the
+    finished matrix is adopted.  It keeps ``lam`` and the chain, for ``eigh_desc``.
     """
-    le = as_eigenlist(lam)
-    chain = _chain_steps(le, p, tol)
+    le, pe = _feasible(lam, p, tol)
+    chain = _chain_steps(le, pe, tol)
     a = np.diag(le.values)
     for step in map(_Step, *chain):
         # rows and columns past j are still 0 off the diagonal, and a_ij == 0
         # keeps the rotation real, so it works in place on the leading block
         _rotate(a[: step.j + 1, : step.j + 1], step)
-    matrix = HermitianMatrix(a)
-    object.__setattr__(matrix, "_chain", (le.values, chain))
-    return matrix
+    return HermitianMatrix._adopt(a, (le.values, chain))
 
 
 def horn_frame(lam: ListLike, p: ListLike, tol: float = DECISION) -> np.ndarray:
@@ -339,8 +354,8 @@ def horn_frame(lam: ListLike, p: ListLike, tol: float = DECISION) -> np.ndarray:
     Q is the product of the chain's rotations, so column k of Q is an
     eigenvector of the construction for lam_k, without an eigensolve.
     """
-    le = as_eigenlist(lam)
-    return _frame(len(le), _chain_steps(le, p, tol))
+    le, pe = _feasible(lam, p, tol)
+    return _frame(len(le), _chain_steps(le, pe, tol))
 
 
 def ky_fan_sum(matrix: MatrixLike, k: int) -> float:

@@ -36,7 +36,7 @@ def pinch_diag(matrix):
     for arbitrary diagonal factors.
     """
     if isinstance(matrix, HermitianMatrix):
-        return HermitianMatrix(np.diag(np.diag(matrix.entries)))
+        return HermitianMatrix._adopt(np.diag(np.diag(matrix.entries)))
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInput("expected a square matrix")
@@ -57,11 +57,11 @@ def _evaluate(f: Callable[[float], float], points: np.ndarray) -> np.ndarray:
 
 
 def matrix_function(matrix: MatrixLike, f: Callable[[float], float]) -> HermitianMatrix:
-    """Apply a scalar function through the spectral decomposition."""
+    """Apply a scalar function through the spectral decomposition; the result is adopted."""
     A = as_hermitian(matrix)
     vals, vecs = np.linalg.eigh(A.entries)
     out = (vecs * _evaluate(f, vals)) @ vecs.conj().T
-    return HermitianMatrix(0.5 * (out + out.conj().T))
+    return HermitianMatrix._adopt(0.5 * (out + out.conj().T))
 
 
 def positive_part(matrix: MatrixLike) -> HermitianMatrix:

@@ -14,7 +14,7 @@ import numpy as np
 from ._tol import DECISION, ROUND_OFF, scaled
 from .eigenlists import EigenList, ListLike, as_eigenlist, check_majorization, reduce_to_equality
 from .errors import InvalidInput, TraceMismatch
-from .horn import HermitianMatrix, MatrixLike, as_hermitian, eigh_desc, horn_construct, horn_frame
+from .horn import HermitianMatrix, MatrixLike, _chain_steps, _frame, as_hermitian, eigh_desc, horn_construct
 
 
 def _nonnegative(values: np.ndarray, what: str) -> None:
@@ -83,10 +83,10 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DECISION)
         raise InvalidInput("matrix must be positive semidefinite")
     lam_top = EigenList(np.maximum(evals[:r], 0.0))
     mu = reduce_to_equality(pe, lam_top, tol)
-    # the core matrix horn_construct(mu, p) is Q diag(mu) Q^T for the real
-    # orthogonal product Q of its chain's rotations, so the rows of Q give
-    # orthonormal vectors whose quadratic form against diag(mu) is p
-    V = evecs[:, :r] @ horn_frame(mu, pe, tol).T
+    # horn_construct(mu, p) is Q diag(mu) Q^T for the real orthogonal product Q
+    # of its chain's rotations (horn_frame, minus the check of a pair that
+    # reduce_to_equality just made): Q's orthonormal rows give p against diag(mu)
+    V = evecs[:, :r] @ _frame(r, _chain_steps(mu, pe, tol)).T
     quad = np.real(np.einsum("ij,ij->j", V.conj(), A.entries @ V))
     floor = scaled(ROUND_OFF, evals)
     with np.errstate(divide="ignore", invalid="ignore"):

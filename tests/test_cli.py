@@ -227,6 +227,71 @@ class TestPinchExperimentCommand:
         assert len(mantissa) >= 16  # 17 significant digits requested
 
 
+class TestListOutputIsPinned:
+    """SHA-256 of what ``majorize`` and ``reduce`` print, as the parent of the adopt change printed them.
+
+    ``majorize`` prints every prefix slack, so its last digits pin the
+    prefix sums; ``reduce`` prints the reduced list, bit for bit.
+    """
+
+    # the n = 32 lists of TestMeasureOutputIsPinned, and the head of the diagonal
+    _lam = [1.0 / k for k in range(1, 33)]
+    _p = sorted((0.5 * (a + b) for a, b in zip(_lam, _lam[::-1])), reverse=True)
+    LAM32, P32, P16 = json.dumps(_lam), json.dumps(_p), json.dumps(_p[:16])
+    CASES = [
+        pytest.param(("majorize", "--p", "[2, 2]", "--lambda", "[3, 1]", "--mode", "equality"), 0,
+                     "20988cc009aaa6efb624a3829aa2981aff7ba03a55e99bcefa9c5fe6ed140229", id="majorize-readme"),
+        pytest.param(("majorize", "--p", "[3, 1]", "--lambda", "[2, 2]", "--mode", "dominance"), 1,
+                     "711f4831a20c5c3679063c02c958303db7a0615e45277921c4a9045e8dfe3e12", id="majorize-false"),
+        pytest.param(("majorize", "--p", P32, "--lambda", LAM32), 0,
+                     "9350b9c7f11a30ef87119c63e65293e78090afaaffe2990871471050abf71da2", id="majorize-n32"),
+        pytest.param(("reduce", "--p", "[1, 1]", "--lambda", "[3, 2]"), 0,
+                     "f8f196a25f9db9dec8857fc329860339203b07103116979f44d9ca9d572e3ae4", id="reduce-readme"),
+        pytest.param(("reduce", "--p", P16, "--lambda", LAM32), 0,
+                     "1358df3e9575360c61dab643bbf0263e7503ea281a83eb0e0c920429c82b8439", id="reduce-n32"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, digest", CASES)
+    def test_stdout_digest(self, capsys, tmp_path, argv, code, digest):
+        got, out, _ = run(capsys, *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if argv[0] == "reduce":
+            out_file = tmp_path / "mu.json"
+            assert run(capsys, *argv, "-o", str(out_file))[0] == 0
+            assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+class TestFailuresAreNotVerdicts:
+    """Exit 1 means a false verdict; running out of memory exits 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+        MemoryError(),
+    ], ids=["numpy-message", "bare"])
+    @pytest.mark.parametrize("command", ["majorize-measure", "construct"])
+    def test_memory_error_exits_two(self, capsys, monkeypatch, tmp_path, command, exc):
+        import majorant.horn
+        import majorant.measures
+
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"atoms": [{"x": 1.0, "mass": 1.0}]}))
+        if command == "construct":
+            monkeypatch.setattr(majorant.horn, "horn_construct", exhausted)
+            argv = ("construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]")
+        else:
+            monkeypatch.setattr(majorant.measures, "majorize_measure", exhausted)
+            argv = ("majorize-measure", "--m", str(point), "--n", str(point))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (str(exc) or "MemoryError") in err
+
+
 class TestConstructionOutputIsPinned:
     """SHA-256 of the JSON that construction commands print, as version 0.1.0 printed it.
 
