@@ -1,28 +1,26 @@
 """Compactly supported probability measures and the spread order on them.
 
-A measure is given as point masses plus uniform pieces, which keeps
-every quantity needed here (moments, tail integrals, quantiles) in
-closed form, so order tests are limited only by round-off and never by
-quadrature error.  Each measure also holds its breakpoint grid (the
-distinct atom locations and piece ends, the atom mass at each, the
-density and mass of each gap), from which survivor, tails, support and
-quantiles are read, and next to it the tail tables, built once per
-measure: the suffix sums each closed-form tail reads and the atom and
-piece columns the quadrature reads.  ``majorize_measure`` decides
-whether one measure is dominated by another in the convex/spread sense;
-three routes to the same verdict are provided and must agree.  Two read
-tail integrals in closed form from the grid; the third,
-``convex_family``, integrates the hinges against the atoms and pieces
-themselves by two-point Gauss quadrature, split at each threshold, for
-all thresholds in one array pass, so it shares no formula with the
-other two.  A decision locates its thresholds in these tables and
-combines what it finds; it rebuilds no table and parses no tuple.
+A measure is point masses plus uniform pieces, which keeps every
+quantity needed here (moments, tail integrals, quantiles) in closed
+form, so order tests are limited only by round-off, never by quadrature
+error.  It is stored once, as the float columns of its atoms and pieces,
+and its ``atoms`` and ``pieces`` tuples are read from them.  From the
+columns it builds its breakpoint grid (the distinct atom locations and
+piece ends, the atom mass at each, the density and mass of each gap),
+which survivor, tails, support and quantiles read, and the suffix sums
+of the closed-form tails.  ``majorize_measure`` decides the spread order
+by three routes that must agree: two read closed-form tails from the
+grid; ``convex_family`` integrates the hinges against the columns by
+two-point Gauss quadrature, so it shares no formula with them.  A
+decision only locates its thresholds in these tables; it rebuilds no
+table and parses no tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,48 +36,71 @@ def _suffix(v: np.ndarray) -> np.ndarray:
     return np.append(np.cumsum(v[::-1])[::-1], 0.0)
 
 
+class _Rows:
+    """``atoms`` or ``pieces``: the rows of the named columns, built on first access and
+    kept on the instance; a non-data descriptor, so they can be replaced there."""
+
+    def __init__(self, *columns: str):
+        self.columns = columns
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ()  # the field's default
+        rows = tuple(zip(*(getattr(obj, c)[:, 0].tolist() for c in self.columns)))
+        object.__setattr__(obj, self.name, rows)
+        return rows
+
+
+def _columns(rows, width: int, what: str) -> np.ndarray:
+    """``rows`` as a fresh (k, width) float array of finite data with positive masses last."""
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"each {what} must be {width} numbers: {exc}") from exc
+    if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[1] != width):
+        raise InvalidInput(f"each {what} must be {width} numbers, not an array of shape {arr.shape}")
+    arr = arr.reshape(-1, width)
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"{what} data must be finite")
+    if not (arr[:, -1] > 0.0).all():
+        raise InvalidInput(f"{what} masses must be positive")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class CompactMeasure:
     """Probability measure = atoms + uniform pieces, compact support.
 
-    ``atoms`` is a sequence of (location, mass) pairs and ``pieces`` a
-    sequence of (a, b, mass) triples, each spreading its mass uniformly
-    over [a, b].  Total mass must be 1.  Ordering computations read the
-    breakpoint grid and the tail tables built from both on construction.
+    ``atoms``: (location, mass) pairs; ``pieces``: (a, b, mass) triples,
+    each spreading its mass uniformly over [a, b]; either also as a (k, 2)
+    or (k, 3) array.  Total mass must be 1.  They are kept only as the k x 1
+    columns ``_atom_x``, ``_atom_w``, ``_piece_a``, ``_piece_b``, ``_piece_w``
+    (read back as tuples); the grid and tail tables are built from these.
     """
 
-    atoms: tuple = ()
-    pieces: tuple = ()
+    atoms: tuple = _Rows("_atom_x", "_atom_w")
+    pieces: tuple = _Rows("_piece_a", "_piece_b", "_piece_w")
 
     def __post_init__(self):
-        atoms = tuple((float(x), float(w)) for x, w in self.atoms)
-        pieces = tuple((float(a), float(b), float(w)) for a, b, w in self.pieces)
-        for x, w in atoms:
-            if not (math.isfinite(x) and math.isfinite(w)):
-                raise InvalidInput("atom data must be finite")
-            if w <= 0.0:
-                raise InvalidInput("atom masses must be positive")
-        for a, b, w in pieces:
-            if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(w)):
-                raise InvalidInput("piece data must be finite")
-            if not a < b:
-                raise InvalidInput("piece needs a < b (use an atom for a point)")
-            if w <= 0.0:
-                raise InvalidInput("piece masses must be positive")
-        if not atoms and not pieces:
+        atoms, pieces = _columns(self.atoms, 2, "atom"), _columns(self.pieces, 3, "piece")
+        object.__delattr__(self, "atoms")  # the columns replace the rows, which are read back from them
+        object.__delattr__(self, "pieces")
+        if not (pieces[:, 0] < pieces[:, 1]).all():
+            raise InvalidInput("piece needs a < b (use an atom for a point)")
+        if not atoms.size and not pieces.size:
             raise InvalidInput("measure needs at least one atom or piece")
+        (atom_x, atom_w), (piece_a, piece_b, piece_w) = atoms.T, pieces.T
         # correctly rounded, so the error does not grow with the number of masses
-        total = math.fsum([w for _, w in atoms] + [w for _, _, w in pieces])
+        total = math.fsum(np.concatenate([atom_w, piece_w]).tolist())
         if abs(total - 1.0) > ROUND_OFF:
             raise InvalidInput(f"total mass {total!r} differs from 1")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "pieces", pieces)
 
         # the breakpoint grid x_0 < ... < x_K with the atom mass at each;
         # gap j is (x_{j-1}, x_j), gaps 0 and K + 1 are the empty ones below
         # and above the support, and _above[j] is the mass at or above x_j
-        atom_x, atom_w = np.array(atoms, dtype=float).reshape(-1, 2).T
-        piece_a, piece_b, piece_w = np.array(pieces, dtype=float).reshape(-1, 3).T
         x, where = np.unique(np.concatenate([atom_x, piece_a, piece_b]), return_inverse=True)
         atom = np.bincount(where[: atom_x.size], atom_w, x.size)
         dens = np.zeros(x.size + 1)
@@ -93,8 +114,8 @@ class CompactMeasure:
         # whole gaps above each x_j, about a centre of the support so that a
         # measure far from 0 loses no more digits than its width costs; suffix
         # sums of the survivor's integral over each gap, which is affine there,
-        # so width times the survivor at the midpoint is exact; and the atoms
-        # and pieces as columns against a row of thresholds
+        # so width times the survivor at the midpoint is exact; and the atom
+        # and piece columns, against a row of thresholds
         centre = 0.5 * (x[0] + x[-1])
         mids = 0.5 * (x[:-1] + x[1:])
         first = _suffix(atom * (x - centre) + np.append(cell[1:-1] * (mids - centre), 0.0))
@@ -123,14 +144,13 @@ class CompactMeasure:
     @classmethod
     def from_points(cls, values: Iterable[float]) -> "CompactMeasure":
         """Equal-weight empirical measure of a finite list, ties merged."""
-        arr = np.asarray(list(values), dtype=float)
+        arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
         if arr.size == 0:
             raise InvalidInput("need at least one point")
         if not np.all(np.isfinite(arr)):
             raise InvalidInput("points must be finite")
         locs, counts = np.unique(arr, return_counts=True)
-        n = arr.size
-        return cls(atoms=tuple((float(x), int(c) / n) for x, c in zip(locs, counts)))
+        return cls(atoms=np.stack([locs, counts / arr.size], axis=1))
 
     # -- basic descriptors ----------------------------------------------
 
@@ -147,8 +167,8 @@ class CompactMeasure:
     def shifted(self, offset: float) -> "CompactMeasure":
         """Translate the whole measure by ``offset``."""
         return CompactMeasure(
-            atoms=tuple((x + offset, w) for x, w in self.atoms),
-            pieces=tuple((a + offset, b + offset, w) for a, b, w in self.pieces),
+            atoms=np.hstack([self._atom_x + offset, self._atom_w]),
+            pieces=np.hstack([self._piece_a + offset, self._piece_b + offset, self._piece_w]),
         )
 
     def survivor(self, s: float) -> float:
@@ -169,8 +189,8 @@ class CompactMeasure:
         if not isinstance(data, dict) or not ("atoms" in data or "pieces" in data):
             raise InvalidInput('measure JSON must be an object with an "atoms" or a "pieces" list')
         try:
-            atoms = tuple((d["x"], d["mass"]) for d in data.get("atoms", []))
-            pieces = tuple((d["a"], d["b"], d["mass"]) for d in data.get("pieces", []))
+            atoms = list(map(itemgetter("x", "mass"), data.get("atoms", [])))
+            pieces = list(map(itemgetter("a", "b", "mass"), data.get("pieces", [])))
         except (TypeError, KeyError) as exc:
             raise InvalidInput(f"malformed measure JSON: {exc}") from exc
         return cls(atoms=atoms, pieces=pieces)
@@ -289,6 +309,9 @@ def tail_integral(m: CompactMeasure, t: float, mode: str = "hinge") -> float:
 
 _GL_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss-Legendre nodes on a unit cell
 
+#: atom and piece rows times thresholds per block of the ``convex_family`` route
+BLOCK_ENTRIES = 1 << 16
+
 
 def integrate_function(m: CompactMeasure, f: Callable[[float], float], kinks: Sequence[float] = ()) -> float:
     """Integral of ``f`` against the measure.
@@ -312,14 +335,21 @@ def integrate_function(m: CompactMeasure, f: Callable[[float], float], kinks: Se
 
 def _quadrature_tail(m: CompactMeasure, t: np.ndarray) -> np.ndarray:
     """``integrate_function``'s rule for the hinges max(x - t, 0), kink at t,
-    at every threshold of the array ``t`` in one pass.
+    at every threshold of the array ``t``.
 
     Rows are the atoms, then the pieces, in the measure's own order; each
     piece is split at t clamped into [a, b] (a part of zero width gives
     exactly 0) and each part gets the two Gauss nodes.  Summing the rows
     down the first axis adds them in the order ``integrate_function`` does.
-    Only the blocks the measure has are built.
+    Only the row blocks the measure has are built.  The thresholds are
+    split into column blocks of two columns or more, each under twice
+    BLOCK_ENTRIES entries or at most three columns wide, so memory is
+    bounded; time stays rows times thresholds.  NumPy sums one column
+    pairwise but wider blocks row by row, so no tail depends on the budget.
     """
+    blocks = min(t.size // 2, t.size * (m._atom_x.size + m._piece_a.size) // BLOCK_ENTRIES)
+    if blocks > 1:
+        return np.concatenate([_quadrature_tail(m, part) for part in np.array_split(t, blocks)])
 
     def gauss(lo, hi):
         h = hi - lo

@@ -84,19 +84,13 @@ def random_measure(
     """Random mixture of atoms and uniform pieces with total mass one."""
     n_atoms = int(rng.integers(0, max_atoms + 1))
     n_pieces = int(rng.integers(0 if n_atoms else 1, max_pieces + 1))
-    weights = rng.dirichlet(np.ones(max(1, n_atoms + n_pieces)))
-    atoms = []
-    pieces = []
-    for k in range(n_atoms):
-        atoms.append((float(rng.uniform(-span, span)), float(weights[k])))
-    for k in range(n_pieces):
-        a = float(rng.uniform(-span, span))
-        b = a + float(rng.uniform(0.1, span))
-        pieces.append((a, b, float(weights[n_atoms + k])))
-    total = sum(w for _, w in atoms) + sum(w for *_, w in pieces)
-    atoms = [(x, w / total) for x, w in atoms]
-    pieces = [(a, b, w / total) for a, b, w in pieces]
-    return CompactMeasure(atoms=tuple(atoms), pieces=tuple(pieces))
+    w = rng.dirichlet(np.ones(n_atoms + n_pieces))
+    xs = rng.uniform(-span, span, n_atoms)
+    ends = rng.uniform((-span, 0.1), span, (n_pieces, 2))  # a, then b - a, piece by piece
+    ends[:, 1] += ends[:, 0]
+    w /= sum(w[:n_atoms].tolist()) + sum(w[n_atoms:].tolist())
+    return CompactMeasure(atoms=np.column_stack([xs, w[:n_atoms]]),
+                          pieces=np.column_stack([ends, w[n_atoms:]]))
 
 
 def concentrate_measure(rng: np.random.Generator, m: CompactMeasure) -> CompactMeasure:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,47 @@ HALF_HALF = CompactMeasure(atoms=((0.0, 0.5), (1.0, 0.5)))
 METHODS = ("hinge", "survivor", "convex_family")
 
 
+WIDTH = {"atoms": 2, "pieces": 3}
+
+#: one input per check of CompactMeasure, with the message it raises
+INVALID = {
+    "nan atom location": ({"atoms": ((np.nan, 1.0),)}, "atom data must be finite"),
+    "infinite atom mass": ({"atoms": ((0.0, np.inf),)}, "atom data must be finite"),
+    "nan piece start": ({"pieces": ((np.nan, 1.0, 1.0),)}, "piece data must be finite"),
+    "infinite piece end": ({"pieces": ((0.0, np.inf, 1.0),)}, "piece data must be finite"),
+    "nan piece mass": ({"atoms": ((0.0, 1.0),), "pieces": ((0.0, 1.0, np.nan),)},
+                       "piece data must be finite"),
+    "zero atom mass": ({"atoms": ((0.0, 1.0), (1.0, 0.0))}, "atom masses must be positive"),
+    "negative atom mass": ({"atoms": ((0.0, 1.5), (1.0, -0.5))}, "atom masses must be positive"),
+    "zero piece mass": ({"atoms": ((0.0, 1.0),), "pieces": ((0.0, 1.0, 0.0),)},
+                        "piece masses must be positive"),
+    "negative piece mass": ({"atoms": ((0.0, 1.5),), "pieces": ((0.0, 1.0, -0.5),)},
+                            "piece masses must be positive"),
+    "piece with a = b": ({"pieces": ((1.0, 1.0, 1.0),)}, "piece needs a < b"),
+    "piece with a > b": ({"atoms": ((0.0, 0.5),), "pieces": ((2.0, 1.0, 0.5),)}, "piece needs a < b"),
+    "no atoms or pieces": ({}, "needs at least one atom or piece"),
+    "empty atoms and pieces": ({"atoms": (), "pieces": ()}, "needs at least one atom or piece"),
+    "total below 1": ({"atoms": ((0.0, 0.5),)}, "total mass"),
+    "total above 1": ({"atoms": ((0.0, 0.75),), "pieces": ((0.0, 1.0, 0.5),)}, "total mass"),
+}
+
+#: rows of the wrong width or of no fixed width; a bare reshape would turn
+#: the first into three atoms of total mass 1 and the second into one atom
+MALFORMED = {
+    "two atoms of three numbers": ({"atoms": ((0.0, 0.25, 1.0), (0.25, 2.0, 0.5))},
+                                   "each atom must be 2 numbers"),
+    "flat atom": ({"atoms": (0.0, 1.0)}, "each atom must be 2 numbers"),
+    "ragged atoms": ({"atoms": ((0.0, 0.5), (1.0,))}, "each atom must be 2 numbers"),
+    "atom of no numbers": ({"atoms": ((),)}, "each atom must be 2 numbers"),
+    "atom that is not a number": ({"atoms": (("zero", 1.0),)}, "each atom must be 2 numbers"),
+    "scalar atoms": ({"atoms": 1.0}, "each atom must be 2 numbers"),
+    "piece of two numbers": ({"pieces": ((0.0, 1.0),)}, "each piece must be 3 numbers"),
+    "pieces as a k x 2 array": ({"pieces": np.array([[0.0, 1.0], [1.0, 2.0]])},
+                                "each piece must be 3 numbers"),
+    "ragged pieces": ({"pieces": ((0.0, 1.0, 0.5), (1.0, 2.0))}, "each piece must be 3 numbers"),
+}
+
+
 class TestCompactMeasureType:
     def test_mass_must_be_one(self):
         with pytest.raises(InvalidInput):
@@ -66,6 +108,26 @@ class TestCompactMeasureType:
     def test_support_must_be_finite(self):
         with pytest.raises(InvalidInput):
             CompactMeasure(atoms=((np.inf, 1.0),))
+
+    @pytest.mark.parametrize("form", ["tuples", "arrays"])
+    @pytest.mark.parametrize("data, message", INVALID.values(), ids=list(INVALID))
+    def test_each_check_holds_for_tuples_and_arrays(self, data, message, form):
+        if form == "arrays":
+            data = {key: np.array(rows, dtype=float).reshape(-1, WIDTH[key]) for key, rows in data.items()}
+        with pytest.raises(InvalidInput, match=message):
+            CompactMeasure(**data)
+
+    @pytest.mark.parametrize("data, message", MALFORMED.values(), ids=list(MALFORMED))
+    def test_ragged_or_wrong_width_rows_rejected(self, data, message):
+        with pytest.raises(InvalidInput, match=message):
+            CompactMeasure(**data)
+
+    def test_rows_are_read_from_the_columns_on_first_access(self):
+        m = CompactMeasure.from_points(np.random.default_rng(6).normal(size=1000))
+        assert "atoms" not in vars(m) and "pieces" not in vars(m)
+        assert m.atoms == tuple(zip(m._atom_x[:, 0].tolist(), m._atom_w[:, 0].tolist()))
+        assert m.atoms is m.atoms and vars(m)["atoms"] is m.atoms
+        assert m.pieces == () and all(type(v) is float for row in m.atoms for v in row)
 
     def test_many_equal_masses_total_one(self):
         # a left-to-right sum of 10^5 masses 1/n drifts past the round-off level
@@ -612,6 +674,116 @@ class TestTailTables:
         for name in TABLES:
             with pytest.raises(ValueError):
                 getattr(m, name)[...] = 0.0
+
+
+def row_by_row_random_measure(rng, max_atoms=4, max_pieces=2, span=2.0):
+    """``random_measure`` as one scalar draw and one Python tuple per atom and piece."""
+    n_atoms = int(rng.integers(0, max_atoms + 1))
+    n_pieces = int(rng.integers(0 if n_atoms else 1, max_pieces + 1))
+    weights = rng.dirichlet(np.ones(max(1, n_atoms + n_pieces)))
+    atoms = [(float(rng.uniform(-span, span)), float(weights[k])) for k in range(n_atoms)]
+    pieces = []
+    for k in range(n_pieces):
+        a = float(rng.uniform(-span, span))
+        pieces.append((a, a + float(rng.uniform(0.1, span)), float(weights[n_atoms + k])))
+    total = sum(w for _, w in atoms) + sum(w for *_, w in pieces)
+    return CompactMeasure(atoms=tuple((x, w / total) for x, w in atoms),
+                          pieces=tuple((a, b, w / total) for a, b, w in pieces))
+
+
+class TestColumns:
+    """The columns are a measure's only stored form; every constructor builds them."""
+
+    @staticmethod
+    def assert_same_measure(got, expected):
+        assert got.atoms == expected.atoms and got.pieces == expected.pieces
+        for name in TABLES:
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_tuples_lists_and_arrays_build_bit_identical_tables(self):
+        rng = np.random.default_rng(2019)
+        for kind in ("atoms", "pieces", "mixed") * 30:
+            drawn = draw_measure(rng, kind)
+            atoms, pieces = drawn.atoms, drawn.pieces
+            from_tuples = CompactMeasure(atoms=atoms, pieces=pieces)
+            assert from_tuples.atoms == atoms and from_tuples.pieces == pieces
+            for form in (list, lambda rows: [list(row) for row in rows]):
+                self.assert_same_measure(CompactMeasure(atoms=form(atoms), pieces=form(pieces)), from_tuples)
+            arrays = CompactMeasure(atoms=np.array(atoms).reshape(-1, 2), pieces=np.array(pieces).reshape(-1, 3))
+            self.assert_same_measure(arrays, from_tuples)
+
+    def test_from_points_masses_are_the_counts_over_n(self):
+        values = np.random.default_rng(2022).integers(-20, 20, size=997).astype(float)
+        locs, counts = np.unique(values, return_counts=True)
+        expected = tuple((float(x), int(c) / values.size) for x, c in zip(locs, counts))
+        for given in (values, values.tolist(), iter(values.tolist())):
+            self.assert_same_measure(CompactMeasure.from_points(given), CompactMeasure(atoms=expected))
+
+    def test_shifted_and_json_match_row_by_row_construction(self):
+        rng = np.random.default_rng(2023)
+        for kind in ("atoms", "pieces", "mixed") * 10:
+            m = draw_measure(rng, kind)
+            c = float(rng.normal()) * 10.0 ** int(rng.integers(-3, 7))
+            by_rows = CompactMeasure(atoms=tuple((x + c, w) for x, w in m.atoms),
+                                     pieces=tuple((a + c, b + c, w) for a, b, w in m.pieces))
+            self.assert_same_measure(m.shifted(c), by_rows)
+            self.assert_same_measure(CompactMeasure.from_jsonable(m.to_jsonable()), m)
+
+
+    def test_random_measure_draws_as_row_by_row(self):
+        for seed in range(300):
+            sizes = {"max_atoms": seed % 6, "max_pieces": 1 + seed % 3, "span": 1.0 + seed % 3}
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            self.assert_same_measure(random_measure(rng, **sizes), row_by_row_random_measure(ref, **sizes))
+            assert rng.random() == ref.random()
+
+
+class TestQuadratureBlocks:
+    """``convex_family`` takes its thresholds in blocks under a fixed entry budget."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(2024)
+        pairs = [random_ordered_pair(rng) if trial % 2 else (random_measure(rng), random_measure(rng))
+                 for trial in range(100)]
+        pairs += [(draw_measure(rng, "mixed"), draw_measure(rng, "mixed")) for _ in range(20)]
+        for size in (5, 40, 150):
+            m = CompactMeasure.from_points(rng.normal(size=size))
+            pairs += [(CompactMeasure.point(m.mean()), m), (m, CompactMeasure.point(m.mean()))]
+        return pairs
+
+    @staticmethod
+    def gaps(m, n):
+        t = measures._decisive_thresholds(m, n)
+        return measures._quadrature_tail(m, t) - measures._quadrature_tail(n, t)
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, measures.BLOCK_ENTRIES])
+    def test_gaps_do_not_depend_on_the_budget(self, monkeypatch, budget):
+        cases = self.cases()
+        monkeypatch.setattr(measures, "BLOCK_ENTRIES", 1 << 62)
+        whole = [self.gaps(m, n) for m, n in cases]
+        monkeypatch.setattr(measures, "BLOCK_ENTRIES", budget)
+        split = 0
+        for (m, n), expected in zip(cases, whole):
+            assert self.gaps(m, n).tobytes() == expected.tobytes()
+            assert expected.tobytes() == reference_gaps(m, n, "convex_family")[1].tobytes()
+            split += min(expected.size // 2, expected.size * (m._atom_x.size + m._piece_a.size) // budget) > 1
+        if budget < 100:
+            assert split >= 10
+
+    def test_memory_stays_bounded(self):
+        # in one block this point against 3000 atoms allocates 137 MiB
+        m = CompactMeasure.from_points(np.random.default_rng(2025).uniform(size=3000))
+        p = CompactMeasure.point(m.mean())
+        tracemalloc.start()
+        try:
+            verdict = majorize_measure(p, m, "convex_family")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict and majorize_measure(p, m, "hinge")
+        assert peak < 4 * 2**20
 
 
 def test_order_decision_leaves_numpy_ma_unimported():
