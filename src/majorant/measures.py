@@ -364,7 +364,7 @@ def _quadrature_tail(m: CompactMeasure, t: np.ndarray) -> np.ndarray:
         a, b = m._piece_a, m._piece_b
         cut = np.clip(t, a, b)
         rows.append(m._piece_w * (gauss(a, cut) + gauss(cut, b)) / (b - a))
-    return np.concatenate(rows).sum(axis=0)
+    return (rows[0] if len(rows) == 1 else np.concatenate(rows)).sum(axis=0)
 
 
 # -- the spread order -----------------------------------------------------
@@ -378,10 +378,13 @@ def _decisive_thresholds(m: CompactMeasure, n: CompactMeasure) -> np.ndarray:
     inside a union segment, slope minus the survivor difference, which is
     affine there.  Its sup is attained at a break or where that difference
     crosses zero; the first break is at or below both supports, where each
-    tail is the mean minus the threshold.
+    tail is the mean minus the threshold.  A pair with no piece has no
+    density, so its gap is piecewise linear and is decided on the union grid.
     """
     x = np.sort(np.concatenate([m._x, n._x]))
     x = x[np.append(True, x[1:] != x[:-1])]
+    if not (m._piece_a.size or n._piece_a.size):
+        return x
     mids = 0.5 * (x[:-1] + x[1:])
     (jm, hm, dm), (jn, hn, dn) = _locate(m, mids), _locate(n, mids)
     diff = m._above[jm] + dm * hm - n._above[jn] - dn * hn
@@ -408,7 +411,9 @@ def majorize_measure(m: CompactMeasure, n: CompactMeasure, method: str = "hinge"
       independent of the two closed forms.
 
     All three routes check one shared decisive threshold set and therefore
-    return identical verdicts; the gap at the lowest is the moment gap.
+    return identical verdicts; the gap at the lowest is the moment gap.  A
+    pair with no piece, such as any two measures from matrices, lists or step
+    functions, is decided on its union grid, where its tails have their kinks.
     Gaps are compared at the decision level times the largest magnitude of
     an end of either support, so the verdict does not depend on units.
     """

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eigenlists import EigenList, normalize_list
+from .errors import InvalidInput
 from .horn import HermitianMatrix
 from .measures import CompactMeasure
 
@@ -81,8 +82,10 @@ def random_measure(
     max_pieces: int = 2,
     span: float = 2.0,
 ) -> CompactMeasure:
-    """Random mixture of atoms and uniform pieces with total mass one."""
-    n_atoms = int(rng.integers(0, max_atoms + 1))
+    """Random mixture of atoms and uniform pieces with total mass one; atoms only if max_pieces is 0."""
+    if max_atoms < 1 and max_pieces < 1:
+        raise InvalidInput("a random measure needs max_atoms or max_pieces of at least 1")
+    n_atoms = int(rng.integers(0 if max_pieces > 0 else 1, max_atoms + 1))
     n_pieces = int(rng.integers(0 if n_atoms else 1, max_pieces + 1))
     w = rng.dirichlet(np.ones(n_atoms + n_pieces))
     xs = rng.uniform(-span, span, n_atoms)

@@ -10,7 +10,8 @@ pinching sweep is judged by its trial-at-a-time form, and the
 ``convex_family`` spread-order route by its threshold-at-a-time form.
 The three tails a spread-order decision reads are also kept in the form
 that rebuilds every suffix sum and parses the atoms and pieces on each
-call, to judge the tables a measure builds once.
+call, to judge the tables a measure builds once, and its thresholds in
+the form that searches for gap vertices on every pair.
 """
 
 import math
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from majorant._tol import DECISION, scaled
-from majorant.measures import _GL_OFFSET, _decisive_thresholds, _locate, integrate_function
+from majorant.measures import _GL_OFFSET, _locate, integrate_function
 from majorant.pinching import WITNESS_TOL, _draw_family, _family_table, _pinch_witnesses
 from majorant.sampling import random_hermitian
 
@@ -170,10 +171,24 @@ def reference_convex_family_gap(m, n, t):
     return integrate_function(m, f, kinks=(t,)) - integrate_function(n, f, kinks=(t,))
 
 
+def reference_decisive_thresholds(m, n):
+    """The union grid of (m, n) and every vertex of the tail gap inside a union
+    segment, searched on every pair, with or without pieces: where the densities
+    are both zero the vertex is infinite or nan and the strict mask drops it."""
+    x = np.sort(np.concatenate([m._x, n._x]))
+    x = x[np.append(True, x[1:] != x[:-1])]
+    mids = 0.5 * (x[:-1] + x[1:])
+    (jm, hm, dm), (jn, hn, dn) = _locate(m, mids), _locate(n, mids)
+    diff = m._above[jm] + dm * hm - n._above[jn] - dn * hn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = mids + diff / (dm - dn)
+    return np.sort(np.concatenate([x, vertex[(x[:-1] < vertex) & (vertex < x[1:])]]))
+
+
 def reference_convex_family(m, n):
     """``majorize_measure(m, n, "convex_family")`` one threshold at a time,
     stopping at the first gap above the decision slack."""
-    thresholds = _decisive_thresholds(m, n)
+    thresholds = reference_decisive_thresholds(m, n)
     tol = scaled(DECISION, thresholds)
     gap = lambda t: reference_convex_family_gap(m, n, t)
     return abs(gap(thresholds[0])) <= tol and all(gap(t) <= tol for t in thresholds[1:])
@@ -227,7 +242,7 @@ REFERENCE_TAILS = {
 
 def reference_gaps(m, n, method):
     """The decisive thresholds of (m, n) and the tail gaps ``method`` reads there."""
-    thresholds = _decisive_thresholds(m, n)
+    thresholds = reference_decisive_thresholds(m, n)
     tail = REFERENCE_TAILS[method]
     return thresholds, tail(m, thresholds) - tail(n, thresholds)
 

@@ -292,6 +292,24 @@ class TestFailuresAreNotVerdicts:
         assert (str(exc) or "MemoryError") in err
 
 
+def test_majorize_measure_on_a_large_measure_file(tmp_path):
+    # convex_family integrates every atom at every threshold, in blocks: about 55 ms here
+    m = majorant.CompactMeasure.from_points(np.random.default_rng(2028).uniform(size=3000))
+    m_file, point = tmp_path / "atoms.json", tmp_path / "point.json"
+    m_file.write_text(json.dumps(m.to_jsonable()))
+    point.write_text(json.dumps({"atoms": [{"x": m.mean(), "mass": 1.0}]}))
+    src = str(Path(majorant.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "majorant.cli", "majorize-measure", "--m", str(point), "--n", str(m_file)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert json.loads(done.stdout) == {
+        "methods": {"hinge": True, "survivor": True, "convex_family": True}, "majorized": True}
+
+
 class TestConstructionOutputIsPinned:
     """SHA-256 of the JSON that construction commands print, as version 0.1.0 printed it.
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import majorant
 import majorant.measures as measures
@@ -40,6 +42,7 @@ from oracles import (
     hinge_tail,
     reference_convex_family,
     reference_convex_family_gap,
+    reference_decisive_thresholds,
     reference_gaps,
     reference_hinge_tail,
     reference_majorize_measure,
@@ -676,6 +679,83 @@ class TestTailTables:
                 getattr(m, name)[...] = 0.0
 
 
+def schur_pairs():
+    """(diagonal, spectrum) distributions of random Hermitian K x K matrices,
+    K = 1 to 60, both ways round.  Each K gives a complex matrix and one whose
+    last K - K // 2 rows and columns are cut off the rest and given diagonal
+    entries in {-1, 0, 1}: those tie on the diagonal, in the spectrum and
+    between the two."""
+    rng = np.random.default_rng(2026)
+    pairs = []
+    for k in range(1, 61):
+        full = random_hermitian(rng, k).entries
+        tied = full.copy()
+        tied[k // 2 :, :] = tied[:, k // 2 :] = 0.0
+        tied[range(k // 2, k), range(k // 2, k)] = rng.integers(-1, 2, k - k // 2)
+        for h in (full, tied):
+            d, e = CompactMeasure.from_points(np.diag(h).real), from_matrix(h)
+            pairs += [(d, e), (e, d)]
+    return pairs
+
+
+class TestDecisiveThresholds:
+    """A pair with no piece is decided on its union grid, with no vertex search."""
+
+    def test_thresholds_match_the_vertex_search_bit_for_bit(self):
+        pairs = [(m, n) for _, m, n in table_test_pairs()] + schur_pairs()
+        for m, n in pairs:
+            got = measures._decisive_thresholds(m, n)
+            assert got.tobytes() == reference_decisive_thresholds(m, n).tobytes()
+
+    @pytest.mark.parametrize("kinds, expected", [
+        (("atoms", "atoms"), {"hinge": 2, "survivor": 2, "convex_family": 0}),
+        (("atoms", "pieces"), {"hinge": 4, "survivor": 4, "convex_family": 2}),
+        (("mixed", "atoms"), {"hinge": 4, "survivor": 4, "convex_family": 2}),
+        (("pieces", "mixed"), {"hinge": 4, "survivor": 4, "convex_family": 2}),
+    ], ids=["atoms-atoms", "atoms-pieces", "mixed-atoms", "pieces-mixed"])
+    def test_locate_calls_per_decision(self, monkeypatch, kinds, expected):
+        rng = np.random.default_rng(2027)
+        m, n = (draw_measure(rng, kind) for kind in kinds)
+        calls = []
+        original = measures._locate
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(measures, "_locate", counted)
+        for method, count in expected.items():
+            calls.clear()
+            majorize_measure(m, n, method)
+            assert len(calls) == count, method
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(m, n, k): a pair of one kind, m swept from n in every other draw, and a power of 2."""
+    kind = draw(st.sampled_from(["atoms", "pieces", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw_measure(rng, kind)
+    m = concentrate_measure(rng, n) if draw(st.booleans()) else draw_measure(rng, kind)
+    return m, n, draw(st.integers(-40, 40))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scaled_pairs())
+def test_thresholds_gaps_and_verdicts_scale_exactly_by_powers_of_two(case):
+    # a power of 2 scales every table, threshold and tail exactly, on the grid
+    # path and the vertex path alike, and the slack scales with the thresholds
+    m, n, k = case
+    c = 2.0**k
+    sm, sn = rescaled(m, c), rescaled(n, c)
+    t = measures._decisive_thresholds(m, n)
+    assert measures._decisive_thresholds(sm, sn).tobytes() == (c * t).tobytes()
+    for method, tail in measures._ROUTES.items():
+        gaps = tail(m, t) - tail(n, t)
+        assert (tail(sm, c * t) - tail(sn, c * t)).tobytes() == (c * gaps).tobytes(), method
+        assert majorize_measure(sm, sn, method) == majorize_measure(m, n, method), method
+
+
 def row_by_row_random_measure(rng, max_atoms=4, max_pieces=2, span=2.0):
     """``random_measure`` as one scalar draw and one Python tuple per atom and piece."""
     n_atoms = int(rng.integers(0, max_atoms + 1))
@@ -737,6 +817,18 @@ class TestColumns:
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             self.assert_same_measure(random_measure(rng, **sizes), row_by_row_random_measure(ref, **sizes))
             assert rng.random() == ref.random()
+
+    def test_random_measure_without_pieces_draws_atoms(self):
+        counts = set()
+        for seed in range(100):
+            m = random_measure(np.random.default_rng(seed), 4, 0)
+            assert m._piece_a.size == 0
+            counts.add(m._atom_x.size)
+        assert counts == {1, 2, 3, 4}
+
+    def test_random_measure_needs_an_atom_or_a_piece(self):
+        with pytest.raises(InvalidInput, match="max_atoms or max_pieces"):
+            random_measure(np.random.default_rng(0), 0, 0)
 
 
 class TestQuadratureBlocks:

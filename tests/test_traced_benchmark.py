@@ -8,6 +8,8 @@ small operation through each layer under it, as a traced run does.
 """
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +63,14 @@ def test_tracer_wraps_every_layer_and_restores_it(tracer):
     for owner, attrs in zip(owners, before):
         for attr, value in attrs.items():
             assert vars(owner)[attr] is value, (owner, attr)
+
+
+def test_benchmark_selftest_catches_every_wrong_output():
+    # the self-test builds each workload's inputs and runs the CLI workload in
+    # a directory of its own, named after its process, which it must remove
+    proc = subprocess.Popen([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate()
+    assert proc.returncode == 0, out + err
+    assert "selftest: 6 of 6 wrong outputs caught" in out
+    assert not (PERFBENCH / "out" / f"selftest-{proc.pid}").exists()
