@@ -4,16 +4,26 @@ Lists may be given inline as JSON literals ("[2, 1, 0]") or as paths to
 JSON files ({"values": [...]}) or CSV files (one value per line).
 Matrices, measures and step functions travel as JSON files in the
 schemas used throughout the package.  Exit status: 0 for success or a
-true verdict, 1 for a false verdict, 2 for malformed input or for
-running out of memory.  Each command imports only the modules it runs.
+true verdict, 1 for a false verdict, 2 for malformed input, for running
+out of memory or for an internal error.  Each command imports only the
+modules it runs.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
+
+if __name__ == "__main__":
+    # run as a process, what the imports below build (NumPy above all) lives
+    # until exit, so collecting while they run only traces it again and again;
+    # ``run_process`` turns the collector back on (the installed script does
+    # the same through ``majorant._script``)
+    gc.disable()
+
 import argparse
 import json
 import os
-import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -256,7 +266,35 @@ def main(argv: list[str] | None = None) -> int:
     except (json.JSONDecodeError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a defect, not a verdict: exit 1 must only ever mean "false"
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+
+
+def run_process() -> None:
+    """Entry point of a ``majorant`` process: ``main`` on ``sys.argv``, then exit.
+
+    Called with the collector off since before this module's imports
+    (``python -m majorant.cli`` or the installed script).  Everything
+    imported so far lives until the process ends, so it is frozen out of
+    the collector's sight (``gc.freeze``) before the command runs; the
+    collector stays on for the command's own garbage.
+    What the command leaves is frozen too, so that finalizing the
+    interpreter has nothing young to trace.  Output, ``atexit`` and the
+    flushing of streams and files are those of a normal exit.
+    """
+    gc.freeze()
+    gc.enable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_process()

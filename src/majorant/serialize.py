@@ -8,6 +8,7 @@ IEEE double) instead of the shortest-representation repr.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -16,7 +17,7 @@ from .errors import InvalidInput
 
 
 def format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise InvalidInput("cannot serialize a non-finite number")
     return format(float(x), ".17g")
 

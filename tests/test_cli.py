@@ -2,9 +2,7 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +10,8 @@ import pytest
 
 import majorant
 from majorant.cli import main
+
+from child_process import run_python
 
 
 def run(capsys, *argv):
@@ -291,6 +291,30 @@ class TestFailuresAreNotVerdicts:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert (str(exc) or "MemoryError") in err
 
+    @pytest.mark.parametrize("command", ["majorize-measure", "construct"])
+    def test_unexpected_exception_exits_two(self, capsys, monkeypatch, tmp_path, command):
+        # a defect in a route is reported with its traceback, and never as exit 1
+        import majorant.horn
+        import majorant.measures
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("route failed")
+
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"atoms": [{"x": 1.0, "mass": 1.0}]}))
+        if command == "construct":
+            monkeypatch.setattr(majorant.horn, "horn_construct", broken)
+            argv = ("construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]")
+        else:
+            monkeypatch.setattr(majorant.measures, "majorize_measure", broken)
+            argv = ("majorize-measure", "--m", str(point), "--n", str(point))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in broken" in err
+        assert err.splitlines()[-1] == "error: internal error: RuntimeError: route failed"
+
 
 def test_majorize_measure_on_a_large_measure_file(tmp_path):
     # convex_family integrates every atom at every threshold, in blocks: about 55 ms here
@@ -298,12 +322,7 @@ def test_majorize_measure_on_a_large_measure_file(tmp_path):
     m_file, point = tmp_path / "atoms.json", tmp_path / "point.json"
     m_file.write_text(json.dumps(m.to_jsonable()))
     point.write_text(json.dumps({"atoms": [{"x": m.mean(), "mass": 1.0}]}))
-    src = str(Path(majorant.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "majorant.cli", "majorize-measure", "--m", str(point), "--n", str(m_file)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-    )
+    done = run_python("-m", "majorant.cli", "majorize-measure", "--m", str(point), "--n", str(m_file))
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert json.loads(done.stdout) == {
@@ -513,10 +532,7 @@ class TestPinchExperimentOutputIsPinned:
 def loaded_submodules(code: str) -> set[str]:
     """The ``majorant.*`` modules a fresh interpreter holds after running ``code``."""
     code += "\nimport sys; print(*(m for m in sys.modules if m.startswith('majorant.')))\n"
-    src = str(Path(majorant.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())
 
@@ -546,3 +562,115 @@ class TestProcessesImportOnlyWhatTheyRun:
             loaded = after_command(*argv)
             assert "majorant.measures" in loaded
             assert not loaded & {"majorant.pinching", "majorant.sampling", "majorant.trace_class"}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def majorant_process(*argv: str):
+    """``python -m majorant.cli *argv`` in a fresh interpreter; output as bytes."""
+    return run_python("-m", "majorant.cli", *argv, text=False)
+
+
+def console_script_call() -> str:
+    """What the installed ``majorant`` script runs, read from ``[project.scripts]``."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^\[project\.scripts\]\nmajorant = "([\w.]+):(\w+)"$',
+                             text, re.M).groups()
+    return f"from {module} import {func}; {func}()"
+
+
+class TestProcessOutputIsPinned:
+    """The pinned digests again, through ``python -m majorant.cli`` in a process of its own.
+
+    The in-process tests call ``main``; these run the ``__main__`` path,
+    which pauses the collector during the imports and freezes the heap
+    around the command, and must print the same bytes and exit codes.
+    """
+
+    @pytest.mark.parametrize("argv, digest", TestConstructionOutputIsPinned.CASES)
+    def test_construction_digests(self, tmp_path, argv, digest):
+        done = majorant_process(*argv)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert sha256(done.stdout) == digest
+        out_file = tmp_path / "out.json"
+        done = majorant_process(*argv, "-o", str(out_file))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert sha256(out_file.read_bytes()) == digest
+
+    @pytest.mark.parametrize("source, digest", TestMeasureOutputIsPinned.CASES)
+    def test_measure_digests(self, capsys, tmp_path, source, digest):
+        src, out_file = tmp_path / "src.json", tmp_path / "m.json"
+        if source == "pieces":
+            src.write_text(json.dumps(TestMeasureOutputIsPinned.PIECES))
+        else:
+            lam, p = TestMeasureOutputIsPinned.SOURCES[source]
+            assert run(capsys, "construct", "--lambda", lam, "--p", p, "-o", str(src))[0] == 0
+        done = majorant_process("measure", str(src))
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert sha256(done.stdout) == digest
+        done = majorant_process("measure", str(src), "-o", str(out_file))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert sha256(out_file.read_bytes()) == digest
+
+    @pytest.mark.parametrize("m, n, code, digest", TestMajorizeMeasureOutputIsPinned.CASES)
+    def test_majorize_measure_digests_and_exit_codes(self, capsys, tmp_path, m, n, code, digest):
+        lam32, p32 = (json.loads(s) for s in TestMeasureOutputIsPinned.SOURCES["n32"])
+        files = {"point": tmp_path / "point.json", "diag": tmp_path / "diag.json"}
+        files["point"].write_text(json.dumps({"atoms": [{"x": 1.0, "mass": 1.0}]}))
+        files["diag"].write_text(json.dumps({"atoms": [
+            {"x": x, "mass": p32.count(x) / 32} for x in sorted(set(p32))]}))
+        for name, lam, p in (("a3", [2, 1, 0], [1, 1, 1]), ("a32", lam32, p32)):
+            files[name] = tmp_path / f"{name}.json"
+            assert run(capsys, "construct", "--lambda", json.dumps(lam), "--p", json.dumps(p),
+                       "-o", str(files[name]))[0] == 0
+        done = majorant_process("majorize-measure", "--m", str(files[m]), "--n", str(files[n]))
+        assert (done.returncode, done.stderr) == (code, b"")
+        assert sha256(done.stdout) == digest
+
+    def test_malformed_input_exits_two_with_one_error_line(self):
+        done = majorant_process("construct", "--lambda", "[1, 1]", "--p", "[2, 0]")
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("entry", [
+        'import runpy; runpy.run_module("majorant.cli", run_name="__main__", alter_sys=True)',
+        console_script_call(),
+    ], ids=["python-m", "console-script"])
+    def test_collector_around_the_command(self, entry):
+        # at exit: how many collections ran while NumPy's import heap was not yet
+        # frozen, whether the collector is on, and how many objects it still tracks
+        argv, code, digest = TestListOutputIsPinned.CASES[1].values
+        script = (
+            "import atexit, gc, sys\n"
+            "early = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and 'numpy' in sys.modules"
+            " and not gc.get_freeze_count() and early.append(info))\n"
+            "atexit.register(lambda: print(len(early), gc.isenabled(), len(gc.get_objects()),"
+            " file=sys.stderr))\n"
+            f"sys.argv[1:] = {list(argv)!r}\n"
+            f"{entry}\n"
+        )
+        done = run_python("-c", script)
+        assert done.returncode == code, done.stderr
+        assert sha256(done.stdout.encode()) == digest
+        early, enabled, young = done.stderr.split()
+        # the imports ran with the collector off, the command with it on, and
+        # exit found nothing young to collect
+        assert (early, enabled, young) == ("0", "True", "0")
+
+
+def test_importing_the_cli_leaves_the_collector_alone(tmp_path):
+    # library callers, this test process and the benchmark's traced child import
+    # majorant.cli and call main(): only a process run as the CLI freezes its heap
+    script = (
+        "import gc\n"
+        "from majorant.cli import main\n"
+        "assert gc.isenabled() and gc.get_freeze_count() == 0, 'import'\n"
+        "assert main(['construct', '--lambda', '[2, 1, 0]', '--p', '[1, 1, 1]',"
+        f" '-o', {str(tmp_path / 'a.json')!r}]) == 0\n"
+        "assert gc.isenabled() and gc.get_freeze_count() == 0, 'main'\n"
+    )
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr

@@ -1,17 +1,12 @@
 """Measures, tail integrals, the spread order and quantile transport."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import majorant
 import majorant.measures as measures
 
 from majorant import (
@@ -36,6 +31,7 @@ from majorant.sampling import (
     random_ordered_pair,
 )
 
+from child_process import run_python
 from oracles import (
     decreasing_grid_lists,
     hinge_sum,
@@ -889,10 +885,7 @@ def test_order_decision_leaves_numpy_ma_unimported():
         "    majorize_measure(m, n, method)\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
-    src = str(Path(majorant.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
 
 
