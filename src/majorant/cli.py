@@ -6,35 +6,24 @@ Matrices, measures and step functions travel as JSON files in the
 schemas used throughout the package.  Exit status: 0 for success or a
 true verdict, 1 for a false verdict, 2 for malformed input, for running
 out of memory or for an internal error.  Each command imports only the
-modules it runs.
+modules it runs; importing this module loads no NumPy.
 """
 
 from __future__ import annotations
 
-import gc
-import sys
-
-if __name__ == "__main__":
-    # run as a process, what the imports below build (NumPy above all) lives
-    # until exit, so collecting while they run only traces it again and again;
-    # ``run_process`` turns the collector back on (the installed script does
-    # the same through ``majorant._script``)
-    gc.disable()
-
 import argparse
+import gc
 import json
 import os
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import __version__
-from .eigenlists import DEFAULT_TOL, EigenList, check_majorization, reduce_to_equality
 from .errors import MajorantError
-from .serialize import dumps
 
 if TYPE_CHECKING:
+    from .eigenlists import EigenList
     from .horn import HermitianMatrix
     from .measures import CompactMeasure, StepFunction
 
@@ -44,16 +33,17 @@ SEED_ENV = "MAJORANT_SEED"
 
 def _load_list(source: str) -> EigenList:
     """Inline JSON list, JSON file, or CSV file (one value per line)."""
+    from .eigenlists import EigenList
+
     text = source.strip()
     if text.startswith("["):
-        return EigenList(np.asarray(json.loads(text), dtype=float))
+        return EigenList(json.loads(text))
     path = Path(source)
     if path.suffix.lower() == ".csv":
-        values = [float(line) for line in path.read_text().splitlines() if line.strip()]
-        return EigenList(np.asarray(values, dtype=float))
+        return EigenList([float(line) for line in path.read_text().splitlines() if line.strip()])
     data = json.loads(path.read_text())
     if isinstance(data, list):
-        return EigenList(np.asarray(data, dtype=float))
+        return EigenList(data)
     return EigenList.from_jsonable(data)
 
 
@@ -83,7 +73,9 @@ def _load_step(source: str) -> StepFunction:
     return StepFunction.from_jsonable(json.loads(Path(source).read_text()))
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | None = None) -> None:
+    from .serialize import dumps
+
     text = dumps(payload)
     if out:
         Path(out).write_text(text + "\n")
@@ -111,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", required=True, help="compared list (inline JSON or file)")
     s.add_argument("--lambda", dest="lam", required=True, help="dominating list")
     s.add_argument("--mode", choices=["equality", "dominance"], default="equality")
-    s.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    s.add_argument("--tol", type=float)
 
     s = sub.add_parser("reduce", help="lower a dominating list to equal totals")
     s.add_argument("--p", required=True)
@@ -168,12 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "majorize":
-        report = check_majorization(_load_list(args.p), _load_list(args.lam), args.mode, args.tol)
-        payload = {"mode": args.mode, "tol": args.tol, **report.to_jsonable()}
-        print(dumps(payload))
+        from .eigenlists import DEFAULT_TOL, check_majorization
+
+        tol = DEFAULT_TOL if args.tol is None else args.tol
+        report = check_majorization(_load_list(args.p), _load_list(args.lam), args.mode, tol)
+        _emit({"mode": args.mode, "tol": tol, **report.to_jsonable()})
         return 0 if report.holds else 1
 
     if args.command == "reduce":
+        from .eigenlists import reduce_to_equality
+
         mu = reduce_to_equality(_load_list(args.p), _load_list(args.lam))
         _emit(mu.to_jsonable(), args.output)
         return 0
@@ -229,7 +225,7 @@ def _run(args: argparse.Namespace) -> int:
         )
         verdicts = {name: majorize_measure(m, n, name) for name in methods}
         majorized = all(verdicts.values())
-        print(dumps({"methods": verdicts, "majorized": majorized}))
+        _emit({"methods": verdicts, "majorized": majorized})
         return 0 if majorized else 1
 
     if args.command == "transport":
@@ -243,14 +239,14 @@ def _run(args: argparse.Namespace) -> int:
         from .pinching import pinch_experiment
 
         report = pinch_experiment(args.n, args.trials, _seed(args))
-        print(dumps(report))
+        _emit(report)
         return 0 if report["holds"] else 1
 
     if args.command == "align":
         from .pinching import align_step_functions
 
         perm, achieved = align_step_functions(_load_step(args.f), _load_step(args.g), args.eps)
-        print(dumps({"permutation": list(perm), "achieved": achieved, "bound": 2.0 * args.eps}))
+        _emit({"permutation": list(perm), "achieved": achieved, "bound": 2.0 * args.eps})
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")
@@ -260,10 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except MajorantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError, ValueError, MemoryError) as exc:
+    except (MajorantError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -276,17 +269,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run_process() -> None:
-    """Entry point of a ``majorant`` process: ``main`` on ``sys.argv``, then exit.
+    """Entry point of a ``majorant`` process (``python -m majorant.cli`` or the script).
 
-    Called with the collector off since before this module's imports
-    (``python -m majorant.cli`` or the installed script).  Everything
-    imported so far lives until the process ends, so it is frozen out of
-    the collector's sight (``gc.freeze``) before the command runs; the
-    collector stays on for the command's own garbage.
-    What the command leaves is frozen too, so that finalizing the
-    interpreter has nothing young to trace.  Output, ``atexit`` and the
+    What a process imports before its command runs, NumPy above all (this
+    module imports none), lives until exit: it is imported with the
+    collector off and then frozen out of its sight (``gc.freeze``), so no
+    collection traces it again.  The collector is on for the command's own
+    garbage, and what the command leaves is frozen too, so that finalizing
+    the interpreter has nothing young to trace.  Output, ``atexit`` and the
     flushing of streams and files are those of a normal exit.
     """
+    gc.disable()
+    import numpy  # noqa: F401  (every command loads it)
+
     gc.freeze()
     gc.enable()
     try:

@@ -139,8 +139,8 @@ def check_majorization(
     """
     if mode not in ("equality", "dominance"):
         raise InvalidInput(f"unknown mode {mode!r}; expected 'equality' or 'dominance'")
-    if not tol >= 0.0:
-        raise InvalidInput("tol must be nonnegative")
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInput("tol must be finite and nonnegative")
     pv, lv = _padded_pair(p, lam)
     slack = np.cumsum(lv) - np.cumsum(pv)
     trace_gap = float(slack[-1])

@@ -227,7 +227,10 @@ class StepFunction:
         if not isinstance(data, dict) or "values" not in data:
             raise InvalidInput('step function JSON must be {"N": n, "values": [...]}')
         out = cls(np.asarray(data["values"], dtype=float))
-        if "N" in data and int(data["N"]) != out.cells:
+        n = data.get("N", out.cells)
+        if type(n) is not int:  # a JSON integer; bool is a subclass of int
+            raise InvalidInput("declared N must be an integer")
+        if n != out.cells:
             raise InvalidInput("declared N does not match the number of values")
         return out
 

@@ -56,6 +56,11 @@ class TestMajorize:
         code, _, err = run(capsys, "majorize", "--p", "[1, 2]", "--lambda", "[3, 1]")
         assert code == 2 and "error" in err
 
+    def test_infinite_tol_exits_two(self, capsys):
+        code, out, err = run(capsys, "majorize", "--p", "[2]", "--lambda", "[1]", "--tol", "inf")
+        assert (code, out) == (2, "")
+        assert err == "error: tol must be finite and nonnegative\n"
+
 
 class TestConstructPipeline:
     def test_construct_measure_round_trip(self, capsys, tmp_path):
@@ -173,6 +178,15 @@ class TestOtherCommands:
         for command in (["measure", str(report)],
                         ["majorize-measure", "--m", str(report), "--n", str(bare)]):
             assert run(capsys, *command)[0] == 0
+
+    @pytest.mark.parametrize("n", [None, 2.7, True])
+    def test_step_function_with_a_bad_cell_count_exits_two(self, capsys, tmp_path, n):
+        f_file = tmp_path / "f.json"
+        f_file.write_text(json.dumps({"N": n, "values": [1.0, 0.0]}))
+        code, out, err = run(capsys, "align", "--f", str(f_file), "--g", str(f_file),
+                             "--eps", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: declared N must be an integer\n"
 
     def test_file_without_a_measure_exits_two(self, capsys, tmp_path):
         m_file = tmp_path / "m.json"
@@ -546,6 +560,11 @@ class TestProcessesImportOnlyWhatTheyRun:
 
     def test_bare_package_import_loads_no_submodule(self):
         assert loaded_submodules("import majorant") == set()
+
+    def test_cli_import_loads_no_numpy(self):
+        # so that run_process can import NumPy with the collector off
+        done = run_python("-c", "import sys, majorant.cli; print('numpy' in sys.modules)")
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
     @pytest.mark.parametrize("extra", [(), ("--truncate", "4")], ids=["plain", "truncate"])
     def test_construct(self, tmp_path, extra):

@@ -100,6 +100,15 @@ class TestCheckMajorization:
         with pytest.raises(InvalidInput):
             check_majorization((1,), (1,), "backwards")
 
+    def test_zero_tol_decides_exact_pairs(self):
+        assert check_majorization([1, 1], [2, 0], "equality", 0.0).holds
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-10])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # an infinite slack would pass any pair, even unequal totals
+        with pytest.raises(InvalidInput, match="tol must be finite and nonnegative"):
+            check_majorization([2], [1], "equality", tol)
+
     def test_schur_direction_random(self):
         # sorted diagonal of a self-adjoint matrix is majorized by its spectrum
         rng = np.random.default_rng(7)
@@ -126,6 +135,15 @@ class TestReduceToEquality:
     def test_equal_lists_fixed(self):
         mu = reduce_to_equality((2, 1, 0.5), (2, 1, 0.5))
         np.testing.assert_allclose(mu.values, [2, 1, 0.5], atol=1e-12)
+
+    def test_zero_in_lam(self):
+        # a zero-padded spectrum: the finite-rank case
+        mu = reduce_to_equality([0.5, 0.25], [1, 0])
+        np.testing.assert_array_equal(mu.values, [0.75, 0.0])
+
+    def test_totals_already_equal(self):
+        mu = reduce_to_equality([1, 0.5], [1, 0.5, 0])
+        np.testing.assert_array_equal(mu.values, [1.0, 0.5, 0.0])
 
     def test_requires_dominance(self):
         with pytest.raises(MajorizationViolation):

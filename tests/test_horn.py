@@ -237,6 +237,11 @@ class TestHornConstruct:
         with pytest.raises(MajorizationViolation):
             horn_construct((1, 1), (2, 0))
 
+    def test_infinite_tol_rejected(self):
+        # it would pass the feasibility test and build the identity, whose diagonal is (1, 1)
+        with pytest.raises(InvalidInput, match="tol must be finite and nonnegative"):
+            horn_construct([1, 1], [2, 0], tol=math.inf)
+
     def test_random_round_trips(self):
         rng = np.random.default_rng(29)
         for _ in range(60):

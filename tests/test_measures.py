@@ -946,6 +946,11 @@ class TestStepFunction:
         with pytest.raises(InvalidInput):
             StepFunction.from_jsonable({"N": 5, "values": [1.0, 2.0]})
 
+    @pytest.mark.parametrize("n", [None, 2.7, 2.0, True, "2"])
+    def test_json_cell_count_must_be_an_integer(self, n):
+        with pytest.raises(InvalidInput, match="declared N must be an integer"):
+            StepFunction.from_jsonable({"N": n, "values": [1.0, 2.0]})
+
     def test_value_distribution(self):
         m = from_step_function(StepFunction(np.array([1.0, 0.0, 1.0, 0.0])))
         assert m.atoms == ((0.0, 0.5), (1.0, 0.5))

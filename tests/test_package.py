@@ -1,6 +1,7 @@
 """The package namespace: public names resolved from their defining modules on first use."""
 
 import ast
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -64,3 +65,11 @@ def test_tolerance_literals_live_only_in_the_policy_module():
                     if isinstance(value, float) and 0.0 < value < 1e-6:
                         found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert not found, "tolerance literals outside majorant._tol: " + ", ".join(found)
+
+
+def test_readme_layout_lists_every_module():
+    package = Path(majorant.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^  (\S+\.py) ", block, re.M))
+    assert listed == {path.name for path in package.glob("*.py")}

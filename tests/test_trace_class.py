@@ -208,6 +208,22 @@ class TestProjectionWithDiagonal:
         with pytest.raises(InvalidInput):
             projection_with_diagonal((1.0, 1.0), 3, 2)
 
+    def test_full_rank_is_the_identity(self):
+        p = projection_with_diagonal([1, 1, 1], 3, 3)
+        np.testing.assert_array_equal(p.entries, np.eye(3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: feasible_diagonal([1, 1], [2, 0], tol),
+    lambda tol: reduce_to_equality([1, 1], [2, 0], tol),
+    lambda tol: realize_finite_rank([2, 0], [1, 1], 2, tol),
+    lambda tol: contraction_diagonal(HermitianMatrix(np.diag([2.0, 0.0])), [1, 1], tol),
+    lambda tol: projection_with_diagonal([1, 0], 1, 2, tol),
+], ids=["feasible", "reduce", "finite_rank", "contraction", "projection"])
+def test_infinite_tol_is_rejected(call):
+    with pytest.raises(InvalidInput, match="tol must be finite"):
+        call(np.inf)
+
 
 class TestEigenlistL1Distance:
     def test_basic_arithmetic(self):
