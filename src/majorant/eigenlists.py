@@ -207,6 +207,8 @@ def hlp_convex_check(
     then) within max(tol, witness level) times the largest entry;
     raises ``TraceMismatch`` otherwise.
     """
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInput("tol must be finite and nonnegative")
     pv, lv = _padded_pair(p, lam)
     if abs(pv.sum() - lv.sum()) > scaled(max(tol, WITNESS), pv, lv):
         raise TraceMismatch("lists must have equal totals for the convex-function test")

@@ -13,7 +13,11 @@ by three routes that must agree: two read closed-form tails from the
 grid; ``convex_family`` integrates the hinges against the columns by
 two-point Gauss quadrature, so it shares no formula with them.  A
 decision only locates its thresholds in these tables; it rebuilds no
-table and parses no tuple.
+table and parses no tuple.  It avoids NumPy's Python-level wrappers
+(``np.sort``, ``np.searchsorted``, ``np.all``, ``np.append``,
+``np.clip``) for the array methods and ufuncs that give the same bits:
+on arrays of a hundred entries a wrapper's dispatch costs as much as
+the arithmetic.
 """
 
 from __future__ import annotations
@@ -173,7 +177,10 @@ class CompactMeasure:
 
     def survivor(self, s: float) -> float:
         """Mass at or above ``s``."""
-        j, h, dens = _locate(self, float(s))
+        s = float(s)
+        if not math.isfinite(s):
+            raise InvalidInput("threshold must be finite")
+        j, h, dens = _locate(self, s)
         return float(self._above[j] + dens * h)
 
     # -- serialization ---------------------------------------------------
@@ -243,10 +250,15 @@ def moment(m: CompactMeasure, k: int) -> float:
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise InvalidInput("moment order must be a nonnegative integer")
     k = int(k)
-    total = sum(w * x**k for x, w in m.atoms)
-    for a, b, w in m.pieces:
-        # (b^(k+1) - a^(k+1)) / ((k+1)(b-a)) without the cancellation on a narrow piece
-        total += w * sum(a**j * b ** (k - j) for j in range(k + 1)) / (k + 1)
+    try:
+        total = sum(w * x**k for x, w in m.atoms)
+        for a, b, w in m.pieces:
+            # (b^(k+1) - a^(k+1)) / ((k+1)(b-a)) without the cancellation on a narrow piece
+            total += w * sum(a**j * b ** (k - j) for j in range(k + 1)) / (k + 1)
+    except OverflowError:  # a float power out of range; a sum reaches inf without raising
+        total = math.inf
+    if not math.isfinite(total):
+        raise InvalidInput(f"moment of order {k} overflows float64")
     return float(total)
 
 
@@ -272,8 +284,8 @@ def _locate(m: CompactMeasure, t):
     """j with x_{j-1} < t <= x_j (K + 1 above the support), h = x_j - t
     (0 above the support) and the density on gap j, for each threshold t;
     the survivor at t is ``m._above[j] + dens * h``."""
-    j = np.searchsorted(m._x, t)
-    h = np.maximum(m._x[np.minimum(j, m._x.size - 1)] - t, 0.0)
+    j = m._x.searchsorted(t)
+    h = np.maximum(m._x.take(j, mode="clip") - t, 0.0)
     return j, h, m._dens[j]
 
 
@@ -365,7 +377,7 @@ def _quadrature_tail(m: CompactMeasure, t: np.ndarray) -> np.ndarray:
         rows.append(m._atom_w * np.maximum(m._atom_x - t, 0.0))
     if m._piece_a.size:
         a, b = m._piece_a, m._piece_b
-        cut = np.clip(t, a, b)
+        cut = np.minimum(np.maximum(t, a), b)
         rows.append(m._piece_w * (gauss(a, cut) + gauss(cut, b)) / (b - a))
     return (rows[0] if len(rows) == 1 else np.concatenate(rows)).sum(axis=0)
 
@@ -384,8 +396,9 @@ def _decisive_thresholds(m: CompactMeasure, n: CompactMeasure) -> np.ndarray:
     tail is the mean minus the threshold.  A pair with no piece has no
     density, so its gap is piecewise linear and is decided on the union grid.
     """
-    x = np.sort(np.concatenate([m._x, n._x]))
-    x = x[np.append(True, x[1:] != x[:-1])]
+    x = np.concatenate([m._x, n._x])
+    x.sort()
+    x = x[np.concatenate(([True], x[1:] != x[:-1]))]
     if not (m._piece_a.size or n._piece_a.size):
         return x
     mids = 0.5 * (x[:-1] + x[1:])
@@ -393,7 +406,9 @@ def _decisive_thresholds(m: CompactMeasure, n: CompactMeasure) -> np.ndarray:
     diff = m._above[jm] + dm * hm - n._above[jn] - dn * hn
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = mids + diff / (dm - dn)
-    return np.sort(np.concatenate([x, vertex[(x[:-1] < vertex) & (vertex < x[1:])]]))
+    thresholds = np.concatenate([x, vertex[(x[:-1] < vertex) & (vertex < x[1:])]])
+    thresholds.sort()
+    return thresholds
 
 
 _ROUTES = {"hinge": _hinge_tail, "survivor": _survivor_tail, "convex_family": _quadrature_tail}
@@ -430,7 +445,7 @@ def majorize_measure(m: CompactMeasure, n: CompactMeasure, method: str = "hinge"
     # sorted, so the largest magnitude is at one of its ends, those of the supports
     tol = DECISION * max(abs(thresholds[0]), abs(thresholds[-1]))
     gaps = tail(m, thresholds) - tail(n, thresholds)
-    return bool(abs(gaps[0]) <= tol and np.all(gaps <= tol))
+    return bool(abs(gaps[0]) <= tol and (gaps <= tol).all())
 
 
 # -- quantiles and transport ----------------------------------------------

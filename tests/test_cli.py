@@ -329,6 +329,15 @@ class TestFailuresAreNotVerdicts:
         assert "in broken" in err
         assert err.splitlines()[-1] == "error: internal error: RuntimeError: route failed"
 
+    def test_moment_overflow_exits_two(self, capsys, tmp_path):
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"atoms": [{"x": 1e60, "mass": 0.5}, {"x": -1e60, "mass": 0.5}],
+                                    "pieces": []}))
+        code, out, err = run(capsys, "measure", str(wide))
+        assert code == 2
+        assert out == ""
+        assert err == "error: moment of order 6 overflows float64\n"
+
 
 def test_majorize_measure_on_a_large_measure_file(tmp_path):
     # convex_family integrates every atom at every threshold, in blocks: about 55 ms here

@@ -196,6 +196,12 @@ class TestHlpConvexCheck:
         with pytest.raises(InvalidInput):
             hlp_convex_check((1, 1), (2, 0), [])
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # an infinite slack would pass the false pair (2, 0) below (1, 1)
+        with pytest.raises(InvalidInput, match="tol must be finite and nonnegative"):
+            hlp_convex_check([2, 0], [1, 1], hinge_family([2, 0], [1, 1]), tol)
+
     def test_agrees_with_prefix_test_on_random_pairs(self):
         # hinges anchored at the entries are decisive for finite lists
         rng = np.random.default_rng(23)

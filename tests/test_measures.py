@@ -169,6 +169,15 @@ class TestMoment:
         for method in METHODS:
             assert majorize_measure(CompactMeasure.point(1000.05), narrow, method)
 
+    @pytest.mark.parametrize("m", [
+        CompactMeasure(atoms=((1e60, 0.5), (-1e60, 0.5))),  # 1e60 ** 6 raises OverflowError
+        CompactMeasure.uniform(1.9e51, 2e51),  # each power fits, their sum of 7 does not
+    ], ids=["power", "sum"])
+    def test_overflow_rejected(self, m):
+        assert moment(m, 5) < np.inf
+        with pytest.raises(InvalidInput, match="moment of order 6 overflows float64"):
+            moment(m, 6)
+
 
 class TestFromMatrix:
     def test_multiplicity_merged(self):
@@ -199,6 +208,13 @@ class TestFromMatrix:
 
 
 class TestTailIntegral:
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_threshold_must_be_finite(self, t):
+        with pytest.raises(InvalidInput, match="threshold must be finite"):
+            HALF_HALF.survivor(t)
+        with pytest.raises(InvalidInput, match="threshold must be finite"):
+            tail_integral(HALF_HALF, t)
+
     def test_half_half_at_zero(self):
         assert tail_integral(HALF_HALF, 0.0, "survivor") == pytest.approx(0.5)
         assert tail_integral(HALF_HALF, 0.0, "hinge") == pytest.approx(0.5)
@@ -724,6 +740,56 @@ class TestDecisiveThresholds:
             calls.clear()
             majorize_measure(m, n, method)
             assert len(calls) == count, method
+
+
+def reference_locate(m, t):
+    """``_locate`` by ``np.searchsorted`` and an ``np.minimum`` clamp, which its method
+    form must match bit for bit."""
+    j = np.searchsorted(m._x, t)
+    h = np.maximum(m._x[np.minimum(j, m._x.size - 1)] - t, 0.0)
+    return j, h, m._dens[j]
+
+
+class TestDecisionPathCallsNoNumpyWrapper:
+    """A decision pays for ufunc and method calls only, with the bits of the wrappers."""
+
+    WRAPPERS = ("searchsorted", "sort", "append", "all", "clip")
+
+    def test_routes_survivor_and_tails_run_without_the_wrappers(self, monkeypatch):
+        rng = np.random.default_rng(2030)
+        kinds = [("atoms", "atoms"), ("pieces", "pieces"), ("mixed", "mixed"), ("atoms", "pieces")]
+        pairs = [tuple(draw_measure(rng, kind) for kind in pair) for pair in kinds]
+        pairs.append(random_ordered_pair(rng))
+
+        def run():
+            verdicts = [[majorize_measure(m, n, method) for method in METHODS] for m, n in pairs]
+            values = []
+            for m, _ in pairs:
+                lo, hi = m.support_bounds()
+                for t in (lo - 1.0, lo, 0.5 * (lo + hi), hi, hi + 1.0):
+                    values.append((m.survivor(t), tail_integral(m, t, "hinge"), tail_integral(m, t, "survivor")))
+            return verdicts, values
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a decision called a NumPy wrapper")
+
+        verdicts, values = run()
+        assert verdicts == [[reference_majorize_measure(m, n, method) for method in METHODS]
+                            for m, n in pairs]
+        for name in self.WRAPPERS:
+            monkeypatch.setattr(measures.np, name, refuse)
+        assert run() == (verdicts, values)
+
+    @pytest.mark.parametrize("kind", ["point", "atoms", "pieces", "mixed"])
+    def test_locate_matches_the_clamp_formula_bit_for_bit(self, kind):
+        rng = np.random.default_rng(2031)
+        m = CompactMeasure.point(0.3) if kind == "point" else draw_measure(rng, kind)
+        x = m.breakpoints()
+        t = np.concatenate([[x[0] - 1.0], x, 0.5 * (x[:-1] + x[1:]), [x[-1] + 1.0]])
+        for arg in [t, *map(float, t)]:
+            for got, want in zip(measures._locate(m, arg), reference_locate(m, arg)):
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @st.composite
