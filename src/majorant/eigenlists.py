@@ -10,6 +10,7 @@ corroboration of the prefix test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -135,15 +136,20 @@ def check_majorization(
     largest entry of either list); ``equality`` mode additionally requires
     the totals to agree within that slack.
     Shorter input is zero-padded, which is exact for eigenvalue lists of
-    positive compact operators.
+    positive compact operators.  Raises ``InvalidInput`` when a prefix
+    sum overflows float64.
     """
     if mode not in ("equality", "dominance"):
         raise InvalidInput(f"unknown mode {mode!r}; expected 'equality' or 'dominance'")
     if not 0.0 <= tol < np.inf:
         raise InvalidInput("tol must be finite and nonnegative")
     pv, lv = _padded_pair(p, lam)
-    slack = np.cumsum(lv) - np.cumsum(pv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = np.cumsum(lv) - np.cumsum(pv)
     trace_gap = float(slack[-1])
+    # a prefix sum that overflowed stays infinite, or nan after the difference
+    if not math.isfinite(trace_gap):
+        raise InvalidInput("prefix sums overflow float64")
     tol = scaled(tol, pv, lv)
     violated = np.nonzero(slack < -tol)[0]
     holds = violated.size == 0

@@ -13,7 +13,10 @@ exactly 0.  Rotating the leading block a[: j + 1, : j + 1] alone is
 therefore exact: the full rotation would recompute the rest of rows and
 columns i and j from those zeros as the same zeros.  The rotation
 blocks of a chain are built once, in one vectorized pass over its
-weights, and each step then costs two products on strided views.  The
+weights, with their transposes as views of them.  A step then pays only
+for views, ``ndarray.dot`` and slice assignment: ``.dot`` calls the
+same BLAS product as ``@`` on these shapes, bit for bit, without the
+ufunc dispatch around it, and no step builds a transpose.  The
 product of a chain's rotations is an eigenframe of its construction
 (``horn_frame``); a construction keeps its spectrum and chain, so
 ``eigh_desc`` of it takes no eigensolve.  Input is validated once: a unitary
@@ -182,10 +185,17 @@ class TTransform:
 
 
 def _feasible(lam: ListLike, p: ListLike, tol: float) -> tuple[EigenList, EigenList]:
-    """``lam`` and ``p`` as lists, checked: equal lengths, p majorized by lam with equal totals."""
+    """``lam`` and ``p`` as lists, checked: equal lengths, p majorized by lam with equal totals.
+
+    The spread ``lam[0] - lam[-1]`` must be finite: the chain divides by
+    differences of entries, and an infinite one gives t = 1, a step that
+    does nothing.
+    """
     le, pe = as_eigenlist(lam), as_eigenlist(p)
     if len(le) != len(pe):
         raise InvalidInput("lists must have equal length")
+    if not math.isfinite(float(le.values[0]) - float(le.values[-1])):
+        raise InvalidInput("spread of lam overflows float64")
     if not check_majorization(pe, le, "equality", tol).holds:
         raise MajorizationViolation("p must be majorized by lam with equal totals")
     return le, pe
@@ -209,7 +219,8 @@ def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> tuple[list[int], 
     for _ in range(n - 1):
         while i < n and x[i] - pv[i] <= snap:
             i += 1
-        j = max(j, i + 1)
+        if j <= i:
+            j = i + 1
         while j < n and x[j] - pv[j] >= -snap:
             j += 1
         if j >= n:
@@ -217,17 +228,20 @@ def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> tuple[list[int], 
             if residual > scaled(tol, le.values, pe.values):
                 raise MajorizationViolation(f"mixing chain stopped {residual:.3e} away from p")
             break
-        delta = min(x[i] - pv[i], pv[j] - x[j])
+        above = x[i] - pv[i]
+        below = pv[j] - x[j]
+        # min(above, below), which keeps the first operand on ties
+        delta = below if below < above else above
         pivots_i.append(i)
         pivots_j.append(j)
         weights.append(1.0 - delta / (x[i] - x[j]))
         x[i] -= delta
         x[j] += delta
-        # pin the coordinate that just reached its target, so later
-        # pivots never revisit it
-        if abs(x[i] - pv[i]) <= snap:
+        # pin the coordinate that just reached its target (|x - p| <= snap),
+        # so later pivots never revisit it
+        if -snap <= x[i] - pv[i] <= snap:
             x[i] = pv[i]
-        if abs(x[j] - pv[j]) <= snap:
+        if -snap <= x[j] - pv[j] <= snap:
             x[j] = pv[j]
     t = np.array(weights, dtype=float)
     if not np.all(t >= -ROUND_OFF):
@@ -250,11 +264,12 @@ def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DECISION) -> list
 
 
 class _Step(NamedTuple):
-    """One rotation: rows and columns i < j and the 2 x 2 block acting on them."""
+    """One rotation: rows and columns i < j, the 2 x 2 block acting on them, and its conjugate transpose."""
 
     i: int
     j: int
     block: np.ndarray
+    block_h: np.ndarray
 
 
 def _rotation_blocks(t: np.ndarray) -> np.ndarray:
@@ -286,17 +301,17 @@ def _frame(n: int, chain: _Chain) -> np.ndarray:
     q = np.eye(n)
     for i, j, block in zip(*chain):
         rows = q[i : j + 1 : j - i, : j + 1]
-        rows[...] = block @ rows
+        rows[...] = block.dot(rows)
     return q
 
 
 def _rotate(a: np.ndarray, step: _Step) -> None:
     """Conjugate ``a`` in place, rows and columns i and j only, by ``step.block``."""
-    i, j, block = step
+    i, j, block, block_h = step
     rows = a[i : j + 1 : j - i]
-    rows[...] = block @ rows
+    rows[...] = block.dot(rows)
     cols = a[:, i : j + 1 : j - i]
-    cols[...] = cols @ block.conj().T
+    cols[...] = cols.dot(block_h)
 
 
 def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.ndarray, HermitianMatrix]:
@@ -323,7 +338,7 @@ def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.nda
         z = 1j * np.conj(aij) / abs(aij)
         block = np.array([[z * c, s], [-z * s, c]])
         result = A.entries.astype(complex)
-    _rotate(result, _Step(i, j, block))
+    _rotate(result, _Step(i, j, block, block.conj().T))
     U = np.eye(A.dim, dtype=result.dtype)
     U[i : j + 1 : j - i, i : j + 1 : j - i] = block
     return U, HermitianMatrix._adopt(result)
@@ -341,7 +356,8 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> Hermiti
     le, pe = _feasible(lam, p, tol)
     chain = _chain_steps(le, pe, tol)
     a = np.diag(le.values)
-    for step in map(_Step, *chain):
+    # the blocks are real, so their transposes are their conjugate transposes
+    for step in map(_Step, *chain, chain[2].transpose(0, 2, 1)):
         # rows and columns past j are still 0 off the diagonal, and a_ij == 0
         # keeps the rotation real, so it works in place on the leading block
         _rotate(a[: step.j + 1, : step.j + 1], step)

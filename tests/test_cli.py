@@ -338,6 +338,17 @@ class TestFailuresAreNotVerdicts:
         assert out == ""
         assert err == "error: moment of order 6 overflows float64\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("construct", "--lambda", "[1e308, -1e308]", "--p", "[0, 0]"),
+         "spread of lam overflows float64"),
+        (("majorize", "--p", "[1e308, 0.8e308, 0.1e308]", "--lambda", "[1e308, 1e308, 0]"),
+         "prefix sums overflow float64"),
+    ], ids=["construct-spread", "majorize-prefix-sums"])
+    def test_float64_overflow_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 def test_majorize_measure_on_a_large_measure_file(tmp_path):
     # convex_family integrates every atom at every threshold, in blocks: about 55 ms here

@@ -109,6 +109,12 @@ class TestCheckMajorization:
         with pytest.raises(InvalidInput, match="tol must be finite and nonnegative"):
             check_majorization([2], [1], "equality", tol)
 
+    @pytest.mark.parametrize("mode", ["equality", "dominance"])
+    def test_prefix_sum_overflow_rejected(self, mode):
+        # the totals differ by 1e307, but the overflowed prefix sums read slack [0, nan, nan]
+        with pytest.raises(InvalidInput, match="prefix sums overflow float64"):
+            check_majorization([1e308, 0.8e308, 0.1e308], [1e308, 1e308, 0], mode)
+
     def test_schur_direction_random(self):
         # sorted diagonal of a self-adjoint matrix is majorized by its spectrum
         rng = np.random.default_rng(7)

@@ -98,6 +98,50 @@ class TestTTransformChain:
         with pytest.raises(MajorizationViolation):
             t_transform_chain((1, 1), (2, 0))
 
+    # The edges of the pivot scan, against the rescanning reference.  Every
+    # list has max |x| >= 1, where the reference's snap equals the code's.
+
+    @pytest.mark.parametrize("lam, p, steps", [
+        ((3, 1), (2, 2), 1),
+        ((1, -1), (0, 0), 1),
+        ((4, 2, 2, 0), (3, 2, 2, 1), 1),
+        ((5, 3, 1, -1), (4, 2, 2, 0), 2),
+    ])
+    def test_exact_tie_pins_both_coordinates_in_one_step(self, lam, p, steps):
+        # x_i - p_i == p_j - x_j: delta reaches both targets at once
+        chain = t_transform_chain(lam, p)
+        assert [(c.i, c.j, c.t) for c in chain] == reference_chain(lam, p)
+        assert len(chain) == steps
+        np.testing.assert_array_equal(apply_chain(lam, chain), p)
+
+    #: snap is 1e-12 times the largest entry; this largest entry makes it the power of two H
+    H = 2.0**-39
+    M = H / 1e-12
+
+    @pytest.mark.parametrize("lam, p, want", [
+        # i skips a coordinate at +snap, then j skips one at -snap
+        ((M, 4 * H, 2 * H, -2 * H, -4 * H), (M, 3 * H, 0, -H, -2 * H), [(2, 4, 1 - 2 / 6)]),
+        # a coordinate starts at +snap, and the step leaves x_j at -snap, which pins it
+        ((M, 4 * H, 3.75 * H, 0.5 * H), (M, 2.75 * H, 2.75 * H, 2.75 * H), [(1, 3, 1 - 1.25 / 3.5)]),
+    ])
+    def test_coordinates_exactly_at_snap_count_as_done(self, lam, p, want):
+        assert 1e-12 * self.M == self.H
+        got = [(c.i, c.j, c.t) for c in t_transform_chain(lam, p)]
+        assert got == reference_chain(lam, p) == want
+
+    @pytest.mark.parametrize("lam, p, steps", [
+        ((3,), (3,), 0),
+        ((-1,), (-1,), 0),
+        ((1, 0), (0.7, 0.3), 1),
+        ((2, 2), (2, 2), 0),
+        ((1, 0), (1, 0), 0),
+        ((1, -1), (0.25, -0.25), 1),
+    ])
+    def test_one_and_two_coordinates(self, lam, p, steps):
+        got = [(c.i, c.j, c.t) for c in t_transform_chain(lam, p)]
+        assert got == reference_chain(lam, p)
+        assert len(got) == steps
+
     def test_random_chains_end_at_target(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -236,6 +280,12 @@ class TestHornConstruct:
     def test_infeasible_rejected(self):
         with pytest.raises(MajorizationViolation):
             horn_construct((1, 1), (2, 0))
+
+    def test_overflowing_spread_rejected(self):
+        # x_i - x_j overflows to inf, so t = 1 and every step would do nothing
+        for build in (horn_construct, t_transform_chain, horn_module.horn_frame):
+            with pytest.raises(InvalidInput, match="spread of lam overflows float64"):
+                build([1e308, -1e308], [0, 0])
 
     def test_infinite_tol_rejected(self):
         # it would pass the feasibility test and build the identity, whose diagonal is (1, 1)

@@ -46,6 +46,10 @@ class TestFeasibleDiagonal:
     def test_unequal_lengths_padded(self):
         assert feasible_diagonal((0.5, 0.5), (1,))
 
+    def test_prefix_sum_overflow_rejected(self):
+        with pytest.raises(InvalidInput, match="prefix sums overflow float64"):
+            feasible_diagonal([1e308, 0.8e308, 0.1e308], [1e308, 1e308, 0])
+
 
 class TestRealizeFiniteRank:
     def test_rank_one_spread(self):
