@@ -535,6 +535,39 @@ class TestTransportOutputIsPinned:
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+class TestAlignOutputIsPinned:
+    """SHA-256 of what ``align`` prints for the README's transported f.
+
+    f is ``transport --cells 100`` of the README construction.  g is f
+    itself (the identity permutation) or f reversed and shifted by 0.03,
+    which moves every cell.
+    """
+
+    CASES = [
+        pytest.param("readme", "59477f26854135a7830e97bdfe7d0becb315612f1c5ce45fa01744e787d7cab9",
+                     id="readme"),
+        pytest.param("reversed", "4321ec240fb54b2239bcb99020161931977f70877331207e605b9d55ddb31f74",
+                     id="reversed"),
+    ]
+
+    @pytest.mark.parametrize("g, digest", CASES)
+    def test_stdout_digest(self, capsys, tmp_path, g, digest):
+        a_file, f_file, g_file = tmp_path / "a.json", tmp_path / "f.json", tmp_path / "g.json"
+        assert run(capsys, "construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]",
+                   "-o", str(a_file))[0] == 0
+        assert run(capsys, "transport", "--measure", str(a_file), "--cells", "100",
+                   "-o", str(f_file))[0] == 0
+        values = json.loads(f_file.read_text())["values"]
+        if g == "reversed":
+            values = [v + 0.03 for v in values[::-1]]
+        g_file.write_text(json.dumps({"N": 100, "values": values}))
+        code, out, _ = run(capsys, "align", "--f", str(f_file), "--g", str(g_file), "--eps", "0.1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if g == "reversed":
+            assert json.loads(out)["permutation"] != list(range(100))
+
+
 class TestPinchExperimentOutputIsPinned:
     """SHA-256 of what ``pinch-experiment`` prints, as the trial-at-a-time sweep printed it.
 
