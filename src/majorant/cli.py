@@ -5,8 +5,10 @@ JSON files ({"values": [...]}) or CSV files (one value per line).
 Matrices, measures and step functions travel as JSON files in the
 schemas used throughout the package.  Exit status: 0 for success or a
 true verdict, 1 for a false verdict, 2 for malformed input, for running
-out of memory or for an internal error.  Each command imports only the
-modules it runs; importing this module loads no NumPy.
+out of memory or for an internal error.  A command returns its JSON
+payload and exit status, and ``main`` alone writes the payload, to stdout
+or to the ``-o`` file.  Each command imports only the modules it runs;
+importing this module loads no NumPy.
 """
 
 from __future__ import annotations
@@ -71,16 +73,6 @@ def _load_step(source: str) -> StepFunction:
     from .measures import StepFunction
 
     return StepFunction.from_jsonable(json.loads(Path(source).read_text()))
-
-
-def _emit(payload: dict, out: str | None = None) -> None:
-    from .serialize import dumps
-
-    text = dumps(payload)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -158,21 +150,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> tuple[dict, int]:
+    """The command's JSON payload and its exit status; ``main`` writes the payload."""
     if args.command == "majorize":
         from .eigenlists import DEFAULT_TOL, check_majorization
 
         tol = DEFAULT_TOL if args.tol is None else args.tol
         report = check_majorization(_load_list(args.p), _load_list(args.lam), args.mode, tol)
-        _emit({"mode": args.mode, "tol": tol, **report.to_jsonable()})
-        return 0 if report.holds else 1
+        return {"mode": args.mode, "tol": tol, **report.to_jsonable()}, 0 if report.holds else 1
 
     if args.command == "reduce":
         from .eigenlists import reduce_to_equality
 
-        mu = reduce_to_equality(_load_list(args.p), _load_list(args.lam))
-        _emit(mu.to_jsonable(), args.output)
-        return 0
+        return reduce_to_equality(_load_list(args.p), _load_list(args.lam)).to_jsonable(), 0
 
     if args.command == "construct":
         lam, p = _load_list(args.lam), _load_list(args.p)
@@ -184,23 +174,19 @@ def _run(args: argparse.Namespace) -> int:
             from .horn import horn_construct
 
             matrix = horn_construct(lam, p)
-        _emit(matrix.to_jsonable(), args.output)
-        return 0
+        return matrix.to_jsonable(), 0
 
     if args.command == "contraction":
         from .horn import matrix_to_jsonable
         from .trace_class import contraction_diagonal
 
         L = contraction_diagonal(_load_matrix(args.matrix), _load_list(args.p))
-        _emit(matrix_to_jsonable(L), args.output)
-        return 0
+        return matrix_to_jsonable(L), 0
 
     if args.command == "projection":
         from .trace_class import projection_with_diagonal
 
-        matrix = projection_with_diagonal(_load_list(args.p), args.rank, args.truncate)
-        _emit(matrix.to_jsonable(), args.output)
-        return 0
+        return projection_with_diagonal(_load_list(args.p), args.rank, args.truncate).to_jsonable(), 0
 
     if args.command == "measure":
         from .measures import _hinge_tail, _survivor_tail, moment
@@ -208,13 +194,11 @@ def _run(args: argparse.Namespace) -> int:
         m = _load_measure(args.source)
         x = m.breakpoints()
         tails = zip(x.tolist(), _survivor_tail(m, x).tolist(), _hinge_tail(m, x).tolist())
-        payload = {
+        return {
             "measure": m.to_jsonable(),
             "moments": [moment(m, k) for k in range(MAX_MOMENT + 1)],
             "tails": [{"t": t, "survivor": s, "hinge": h} for t, s, h in tails],
-        }
-        _emit(payload, args.output)
-        return 0
+        }, 0
 
     if args.command == "majorize-measure":
         from .measures import majorize_measure
@@ -225,29 +209,24 @@ def _run(args: argparse.Namespace) -> int:
         )
         verdicts = {name: majorize_measure(m, n, name) for name in methods}
         majorized = all(verdicts.values())
-        _emit({"methods": verdicts, "majorized": majorized})
-        return 0 if majorized else 1
+        return {"methods": verdicts, "majorized": majorized}, 0 if majorized else 1
 
     if args.command == "transport":
         from .measures import quantile_transport
 
-        step = quantile_transport(_load_measure(args.measure), args.cells)
-        _emit(step.to_jsonable(), args.output)
-        return 0
+        return quantile_transport(_load_measure(args.measure), args.cells).to_jsonable(), 0
 
     if args.command == "pinch-experiment":
         from .pinching import pinch_experiment
 
         report = pinch_experiment(args.n, args.trials, _seed(args))
-        _emit(report)
-        return 0 if report["holds"] else 1
+        return report, 0 if report["holds"] else 1
 
     if args.command == "align":
         from .pinching import align_step_functions
 
         perm, achieved = align_step_functions(_load_step(args.f), _load_step(args.g), args.eps)
-        _emit({"permutation": list(perm), "achieved": achieved, "bound": 2.0 * args.eps})
-        return 0
+        return {"permutation": list(perm), "achieved": achieved, "bound": 2.0 * args.eps}, 0
 
     raise AssertionError(f"unhandled command {args.command!r}")
 
@@ -255,7 +234,16 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        payload, code = _run(args)
+        from .serialize import dumps
+
+        text = dumps(payload)
+        out = getattr(args, "output", None)
+        if out:
+            Path(out).write_text(text + "\n")
+        else:
+            print(text)
+        return code
     except (MajorantError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

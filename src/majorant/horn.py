@@ -11,9 +11,10 @@ pivots of the chain only move right, so before a step (i, j) no row or
 column past j has been rotated and, off the diagonal, they are still
 exactly 0.  Rotating the leading block a[: j + 1, : j + 1] alone is
 therefore exact: the full rotation would recompute the rest of rows and
-columns i and j from those zeros as the same zeros.  The rotation
-blocks of a chain are built once, in one vectorized pass over its
-weights, with their transposes as views of them.  A step then pays only
+columns i and j from those zeros as the same zeros.  A chain is one
+value from the pivot scan to the frame: its pivots, its weights and its
+rotation blocks, built once in one vectorized pass over the weights,
+with their transposes as views of them.  A step then pays only
 for views, ``ndarray.dot`` and slice assignment: ``.dot`` calls the
 same BLAS product as ``@`` on these shapes, bit for bit, without the
 ufunc dispatch around it, and no step builds a transpose.  The
@@ -163,13 +164,10 @@ class TTransform:
             raise InvalidInput("need 0 <= i < j")
         if not (math.isfinite(t) and -ROUND_OFF <= t <= 1.0 + ROUND_OFF):
             raise InvalidInput("mixing weight t must lie in [0, 1]")
-        # normalize in place only what is not yet a Python int or a float in
-        # (0, 1]: NumPy scalars, t clamped into [0, 1], and -0.0 -> 0.0
-        if type(i) is not int or type(j) is not int:
-            object.__setattr__(self, "i", int(i))
-            object.__setattr__(self, "j", int(j))
-        if type(t) is not float or not 0.0 < t <= 1.0:
-            object.__setattr__(self, "t", float(min(1.0, max(0.0, t))))
+        # Python ints, and t clamped into [0, 1] as a float, with -0.0 -> 0.0
+        object.__setattr__(self, "i", int(i))
+        object.__setattr__(self, "j", int(j))
+        object.__setattr__(self, "t", float(min(1.0, max(0.0, t))))
 
     def apply_to_vector(self, x: np.ndarray) -> np.ndarray:
         """The mixing recurrence on a raw coordinate vector."""
@@ -179,9 +177,6 @@ class TTransform:
         swapped = x.copy()
         swapped[[self.i, self.j]] = swapped[[self.j, self.i]]
         return self.t * x + (1.0 - self.t) * swapped
-
-    def to_jsonable(self) -> dict:
-        return {"i": self.i, "j": self.j, "t": self.t}
 
 
 def _feasible(lam: ListLike, p: ListLike, tol: float) -> tuple[EigenList, EigenList]:
@@ -201,8 +196,28 @@ def _feasible(lam: ListLike, p: ListLike, tol: float) -> tuple[EigenList, EigenL
     return le, pe
 
 
-def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> tuple[list[int], list[int], np.ndarray]:
-    """Pivots i < j and weights t of the mixing chain carrying a checked pair ``le`` onto ``pe``.
+def _rotation_blocks(t: np.ndarray) -> np.ndarray:
+    """Blocks [[c, s], [-s, c]], c = sqrt(t) and s = sqrt(1 - t), for every t in [0, 1].
+
+    ``np.sqrt`` is correctly rounded, so each block equals the one built
+    from ``math.sqrt`` bit for bit.
+    """
+    c = np.sqrt(t)
+    s = np.sqrt(1.0 - t)
+    return np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
+
+
+class _Chain(NamedTuple):
+    """A mixing chain: pivots i < j, weights t in [0, 1] and the (m, 2, 2) rotation blocks."""
+
+    i: list[int]
+    j: list[int]
+    t: np.ndarray
+    blocks: np.ndarray
+
+
+def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
+    """The mixing chain carrying a checked pair ``le`` onto ``pe``, every block built in one pass.
 
     The rule of ``t_transform_chain``, with each t clamped into [0, 1]
     as ``TTransform`` clamps it.  A scan that runs off the end before
@@ -246,7 +261,8 @@ def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> tuple[list[int], 
     t = np.array(weights, dtype=float)
     if not np.all(t >= -ROUND_OFF):
         raise InvalidInput("mixing weight t must lie in [0, 1]")
-    return pivots_i, pivots_j, np.minimum(1.0, np.maximum(0.0, t))
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    return _Chain(pivots_i, pivots_j, t, _rotation_blocks(t))
 
 
 def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DECISION) -> list[TTransform]:
@@ -259,38 +275,8 @@ def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DECISION) -> list
     coordinate, so at most n-1 steps are produced.  A step moves only x_i
     and x_j, each towards its target, so both pivots only move right.
     """
-    pivots_i, pivots_j, t = _mixing_steps(*_feasible(lam, p, tol), tol)
-    return list(map(TTransform, pivots_i, pivots_j, t.tolist()))
-
-
-class _Step(NamedTuple):
-    """One rotation: rows and columns i < j, the 2 x 2 block acting on them, and its conjugate transpose."""
-
-    i: int
-    j: int
-    block: np.ndarray
-    block_h: np.ndarray
-
-
-def _rotation_blocks(t: np.ndarray) -> np.ndarray:
-    """Blocks [[c, s], [-s, c]], c = sqrt(t) and s = sqrt(1 - t), for every t in [0, 1].
-
-    ``np.sqrt`` is correctly rounded, so each block equals the one built
-    from ``math.sqrt`` bit for bit.
-    """
-    c = np.sqrt(t)
-    s = np.sqrt(1.0 - t)
-    return np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
-
-
-#: a mixing chain: pivots i < j and the (m, 2, 2) array of its rotation blocks
-_Chain = tuple[list[int], list[int], np.ndarray]
-
-
-def _chain_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
-    """The rotations of the mixing chain of a checked pair, every block built in one pass."""
-    pivots_i, pivots_j, t = _mixing_steps(le, pe, tol)
-    return pivots_i, pivots_j, _rotation_blocks(t)
+    chain = _mixing_steps(*_feasible(lam, p, tol), tol)
+    return list(map(TTransform, chain.i, chain.j, chain.t.tolist()))
 
 
 def _frame(n: int, chain: _Chain) -> np.ndarray:
@@ -299,15 +285,14 @@ def _frame(n: int, chain: _Chain) -> np.ndarray:
     Rows and columns past j are still the identity's before a step (i, j).
     """
     q = np.eye(n)
-    for i, j, block in zip(*chain):
+    for i, j, block in zip(chain.i, chain.j, chain.blocks):
         rows = q[i : j + 1 : j - i, : j + 1]
         rows[...] = block.dot(rows)
     return q
 
 
-def _rotate(a: np.ndarray, step: _Step) -> None:
-    """Conjugate ``a`` in place, rows and columns i and j only, by ``step.block``."""
-    i, j, block, block_h = step
+def _rotate(a: np.ndarray, i: int, j: int, block: np.ndarray, block_h: np.ndarray) -> None:
+    """Conjugate ``a`` by ``block`` in place, rows and columns i and j only; ``block_h`` is its adjoint."""
     rows = a[i : j + 1 : j - i]
     rows[...] = block.dot(rows)
     cols = a[:, i : j + 1 : j - i]
@@ -338,7 +323,7 @@ def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.nda
         z = 1j * np.conj(aij) / abs(aij)
         block = np.array([[z * c, s], [-z * s, c]])
         result = A.entries.astype(complex)
-    _rotate(result, _Step(i, j, block, block.conj().T))
+    _rotate(result, i, j, block, block.conj().T)
     U = np.eye(A.dim, dtype=result.dtype)
     U[i : j + 1 : j - i, i : j + 1 : j - i] = block
     return U, HermitianMatrix._adopt(result)
@@ -354,13 +339,13 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> Hermiti
     finished matrix is adopted.  It keeps ``lam`` and the chain, for ``eigh_desc``.
     """
     le, pe = _feasible(lam, p, tol)
-    chain = _chain_steps(le, pe, tol)
+    chain = _mixing_steps(le, pe, tol)
     a = np.diag(le.values)
     # the blocks are real, so their transposes are their conjugate transposes
-    for step in map(_Step, *chain, chain[2].transpose(0, 2, 1)):
+    for i, j, block, block_h in zip(chain.i, chain.j, chain.blocks, chain.blocks.transpose(0, 2, 1)):
         # rows and columns past j are still 0 off the diagonal, and a_ij == 0
         # keeps the rotation real, so it works in place on the leading block
-        _rotate(a[: step.j + 1, : step.j + 1], step)
+        _rotate(a[: j + 1, : j + 1], i, j, block, block_h)
     return HermitianMatrix._adopt(a, (le.values, chain))
 
 
@@ -371,7 +356,7 @@ def horn_frame(lam: ListLike, p: ListLike, tol: float = DECISION) -> np.ndarray:
     eigenvector of the construction for lam_k, without an eigensolve.
     """
     le, pe = _feasible(lam, p, tol)
-    return _frame(len(le), _chain_steps(le, pe, tol))
+    return _frame(len(le), _mixing_steps(le, pe, tol))
 
 
 def ky_fan_sum(matrix: MatrixLike, k: int) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 from ._tol import DECISION, ROUND_OFF, scaled
 from .eigenlists import EigenList, ListLike, as_eigenlist, check_majorization, reduce_to_equality
 from .errors import InvalidInput, TraceMismatch
-from .horn import HermitianMatrix, MatrixLike, _chain_steps, _frame, as_hermitian, eigh_desc, horn_construct
+from .horn import HermitianMatrix, MatrixLike, _frame, _mixing_steps, as_hermitian, eigh_desc, horn_construct
 
 
 def _nonnegative(values: np.ndarray, what: str) -> None:
@@ -86,7 +86,7 @@ def contraction_diagonal(matrix: MatrixLike, p: ListLike, tol: float = DECISION)
     # horn_construct(mu, p) is Q diag(mu) Q^T for the real orthogonal product Q
     # of its chain's rotations (horn_frame, minus the check of a pair that
     # reduce_to_equality just made): Q's orthonormal rows give p against diag(mu)
-    V = evecs[:, :r] @ _frame(r, _chain_steps(mu, pe, tol)).T
+    V = evecs[:, :r] @ _frame(r, _mixing_steps(mu, pe, tol)).T
     quad = np.real(np.einsum("ij,ij->j", V.conj(), A.entries @ V))
     floor = scaled(ROUND_OFF, evals)
     with np.errstate(divide="ignore", invalid="ignore"):
