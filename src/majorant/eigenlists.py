@@ -10,7 +10,6 @@ corroboration of the prefix test.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -137,7 +136,7 @@ def check_majorization(
     the totals to agree within that slack.
     Shorter input is zero-padded, which is exact for eigenvalue lists of
     positive compact operators.  Raises ``InvalidInput`` when a prefix
-    sum overflows float64.
+    sum, or a slack between two of them, overflows float64.
     """
     if mode not in ("equality", "dominance"):
         raise InvalidInput(f"unknown mode {mode!r}; expected 'equality' or 'dominance'")
@@ -146,10 +145,11 @@ def check_majorization(
     pv, lv = _padded_pair(p, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         slack = np.cumsum(lv) - np.cumsum(pv)
-    trace_gap = float(slack[-1])
-    # a prefix sum that overflowed stays infinite, or nan after the difference
-    if not math.isfinite(trace_gap):
+    # an overflowed prefix sum stays infinite (or nan after the difference),
+    # and a difference of two finite prefix sums may overflow too
+    if not np.isfinite(slack).all():
         raise InvalidInput("prefix sums overflow float64")
+    trace_gap = float(slack[-1])
     tol = scaled(tol, pv, lv)
     violated = np.nonzero(slack < -tol)[0]
     holds = violated.size == 0

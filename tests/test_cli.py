@@ -349,6 +349,12 @@ class TestFailuresAreNotVerdicts:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    def test_overflowed_slack_exits_two(self, capsys):
+        code, out, err = run(capsys, "majorize", "--p", "[-0.85e308, -0.85e308]",
+                             "--lambda", "[1e308, -1e308]", "--mode", "dominance")
+        assert (code, out) == (2, "")
+        assert err == "error: prefix sums overflow float64\n"
+
 
 def test_majorize_measure_on_a_large_measure_file(tmp_path):
     # convex_family integrates every atom at every threshold, in blocks: about 55 ms here

@@ -115,6 +115,11 @@ class TestCheckMajorization:
         with pytest.raises(InvalidInput, match="prefix sums overflow float64"):
             check_majorization([1e308, 0.8e308, 0.1e308], [1e308, 1e308, 0], mode)
 
+    def test_overflowed_slack_between_finite_prefix_sums_rejected(self):
+        # every prefix sum is finite, but 1e308 - (-0.85e308) overflows: slack [inf, 1.7e308]
+        with pytest.raises(InvalidInput, match="prefix sums overflow float64"):
+            check_majorization([-0.85e308, -0.85e308], [1e308, -1e308], "dominance")
+
     def test_schur_direction_random(self):
         # sorted diagonal of a self-adjoint matrix is majorized by its spectrum
         rng = np.random.default_rng(7)
