@@ -10,6 +10,7 @@ import pytest
 
 import majorant
 from majorant.cli import main
+from majorant.serialize import dumps
 
 from child_process import run_python
 
@@ -36,6 +37,13 @@ class TestMajorize:
         )
         assert code == 1
         assert json.loads(out)["first_violation"] == 1
+
+    def test_bare_array_list_file(self, capsys, tmp_path):
+        p = tmp_path / "p.json"
+        p.write_text("[2, 2]")
+        code, out, _ = run(capsys, "majorize", "--p", str(p), "--lambda", "[3, 1]")
+        assert code == 0
+        assert json.loads(out)["slack"] == [1.0, 0.0]
 
     def test_list_files(self, capsys, tmp_path):
         p = tmp_path / "p.json"
@@ -600,6 +608,18 @@ class TestPinchExperimentOutputIsPinned:
         code, out, _ = run(capsys, "pinch-experiment", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("obj, message", [
+    (float("nan"), "cannot serialize a non-finite number"),
+    ({"slack": [1.0, np.inf]}, "cannot serialize a non-finite number"),
+    ({1, 2}, "cannot serialize object of type set"),
+    ([object()], "cannot serialize object of type object"),
+], ids=["nan", "inf-in-a-report", "set", "object"])
+def test_serializer_rejects(obj, message):
+    with pytest.raises(majorant.InvalidInput) as caught:
+        dumps(obj)
+    assert str(caught.value) == message
 
 
 def loaded_submodules(code: str) -> set[str]:

@@ -235,3 +235,13 @@ class TestHlpConvexCheck:
             assert prefix == convex
             seen[prefix] += 1
         assert min(seen.values()) >= 20
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EigenList([2, 1, 0]).padded(2), "cannot pad to a shorter length"),
+    (lambda: EigenList.from_jsonable([2, 1, 0]), 'eigenvalue list JSON must be {"values": [...]}'),
+], ids=["padded-shorter", "from-jsonable-not-a-dict"])
+def test_invalid_input_is_rejected(call, message):
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert str(caught.value) == message

@@ -440,3 +440,21 @@ class TestApproxConjugate:
             w = approx_conjugate(a, b, eps)
             np.testing.assert_allclose(w @ w.conj().T, np.eye(n), atol=1e-12)
             assert op_norm(w @ a.entries @ w.conj().T - b.entries) <= 2 * eps
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: horn_module.matrix_from_jsonable([[1.0]]),
+     'matrix JSON must be {"dim": n, "entries": [[[re,im],...],...]}'),
+    (lambda: horn_module.matrix_from_jsonable({"dim": 1, "entries": [[[1.0]]]}),
+     "malformed matrix entries: list index out of range"),
+    (lambda: TTransform(0, 3, 0.5).apply_to_vector([1.0, 2.0, 3.0]),
+     "transposition index out of range"),
+    (lambda: approx_conjugate(np.eye(2), np.eye(3), 0.1), "matrices must have equal dimension"),
+    (lambda: approx_conjugate(np.eye(2), np.eye(2), 0.0), "eps must be positive"),
+    (lambda: approx_conjugate(np.eye(2), np.eye(2), -0.1), "eps must be positive"),
+], ids=["matrix-json-not-a-dict", "matrix-json-short-cell", "apply-j-out-of-range",
+        "conjugate-unequal-dims", "conjugate-eps-zero", "conjugate-eps-negative"])
+def test_invalid_input_is_rejected(call, message):
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert str(caught.value) == message

@@ -1020,3 +1020,23 @@ class TestStepFunction:
     def test_value_distribution(self):
         m = from_step_function(StepFunction(np.array([1.0, 0.0, 1.0, 0.0])))
         assert m.atoms == ((0.0, 0.5), (1.0, 0.5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CompactMeasure.from_points([]), "need at least one point"),
+    (lambda: CompactMeasure.from_points([0.0, np.nan]), "points must be finite"),
+    (lambda: CompactMeasure.from_jsonable({"atoms": [{"x": 0.0}]}), "malformed measure JSON: 'mass'"),
+    (lambda: CompactMeasure.from_jsonable({"pieces": [[0.0, 1.0, 1.0]]}),
+     "malformed measure JSON: list indices must be integers or slices, not str"),
+    (lambda: StepFunction([1.0, np.inf]), "step function values must be finite"),
+    (lambda: StepFunction.from_jsonable([1.0, 0.0]), 'step function JSON must be {"N": n, "values": [...]}'),
+    (lambda: tail_integral(CompactMeasure.from_points([0.0, 1.0]), 0.5, "cubic"),
+     "unknown mode 'cubic'; expected 'hinge' or 'survivor'"),
+    (lambda: majorize_measure([0.0, 1.0], CompactMeasure.from_points([0.0, 1.0])),
+     "majorize_measure expects two CompactMeasure values"),
+], ids=["from-points-empty", "from-points-nan", "atom-without-mass", "piece-as-a-list",
+        "step-values-inf", "step-json-not-a-dict", "tail-unknown-mode", "majorize-not-a-measure"])
+def test_invalid_input_is_rejected(call, message):
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert str(caught.value) == message

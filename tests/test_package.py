@@ -73,3 +73,10 @@ def test_readme_layout_lists_every_module():
     block = readme.split("## Layout", 1)[1].split("```")[1]
     listed = set(re.findall(r"^  (\S+\.py) ", block, re.M))
     assert listed == {path.name for path in package.glob("*.py")}
+
+
+def test_readme_operations_table_lists_every_public_function():
+    readme = (Path(majorant.__file__).parents[2] / "README.md").read_text()
+    table = readme.split("Key operations by module:", 1)[1].split("\n\n")[1]
+    listed = set(re.findall(r"`(\w+)`", table))
+    assert {name for name in majorant.__all__ if name.islower()} <= listed

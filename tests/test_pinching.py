@@ -366,3 +366,18 @@ class TestBlockedSweep:
         monkeypatch.setattr(pinching, "_hermitian_entries", lambda rng, n: np.triu(np.ones((n, n))))
         with pytest.raises(InvalidInput, match="self-adjoint"):
             pinch_experiment(3, 4, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: align_step_functions([1.0, 0.0], StepFunction([1.0, 0.0]), 0.1),
+     "align_step_functions expects two StepFunction values"),
+    (lambda: align_step_functions(StepFunction([1.0, 0.0]), StepFunction([1.0, 0.0]), 0.0),
+     "eps must be positive"),
+    (lambda: align_step_functions(StepFunction([1.0, 0.0]), StepFunction([1.0, 0.0]), -0.1),
+     "eps must be positive"),
+    (lambda: pinch_experiment(0, 5, 1), "need n >= 1 and trials >= 1"),
+], ids=["align-not-a-step-function", "align-eps-zero", "align-eps-negative", "pinch-n-zero"])
+def test_invalid_input_is_rejected(call, message):
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert str(caught.value) == message

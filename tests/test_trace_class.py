@@ -250,3 +250,23 @@ class TestEigenlistL1Distance:
             assert eigenlist_l1_distance(la, lb) <= trace_norm(
                 a.entries - b.entries
             ) + 1e-10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: realize_finite_rank([1.0], [1.0], 0), "truncation size must be a positive integer"),
+    (lambda: contraction_diagonal(np.eye(2), [0.5, 0.5, 0.5]),
+     "target diagonal longer than the matrix dimension"),
+    (lambda: projection_with_diagonal([0.5, 0.5], 0, 2), "rank must be a positive integer"),
+], ids=["realize-n-zero", "contraction-r-above-dim", "projection-rank-zero"])
+def test_invalid_input_is_rejected(call, message):
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_truncation_drops_a_zero_tail():
+    # both lists are longer than n, with only zeros past it
+    a = realize_finite_rank([1.0, 0.0, 0.0], [0.5, 0.5, 0.0], 2)
+    assert a.dim == 2
+    np.testing.assert_allclose(a.diagonal(), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(a.eigenvalues().values, [1.0, 0.0], atol=1e-15)
