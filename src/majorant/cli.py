@@ -7,8 +7,10 @@ schemas used throughout the package.  Exit status: 0 for success or a
 true verdict, 1 for a false verdict, 2 for malformed input, for running
 out of memory or for an internal error.  A command returns its JSON
 payload and exit status, and ``main`` alone writes the payload, to stdout
-or to the ``-o`` file.  Each command imports only the modules it runs;
-importing this module loads no NumPy.
+or to the ``-o`` file.  Commands reach the library through the package's
+lazy public names (``mj.horn_construct`` loads ``majorant.horn`` on first
+use), so each imports only the modules it runs; importing this module
+loads no NumPy.
 """
 
 from __future__ import annotations
@@ -19,60 +21,43 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from . import __version__
-from .errors import MajorantError
+import majorant as mj
 
-if TYPE_CHECKING:
-    from .eigenlists import EigenList
-    from .horn import HermitianMatrix
-    from .measures import CompactMeasure, StepFunction
+from .serialize import dumps
 
 MAX_MOMENT = 6
 SEED_ENV = "MAJORANT_SEED"
 
 
-def _load_list(source: str) -> EigenList:
-    """Inline JSON list, JSON file, or CSV file (one value per line)."""
-    from .eigenlists import EigenList
+def _read(source: str):
+    """The JSON document in the file ``source``."""
+    return json.loads(Path(source).read_text())
 
+
+def _load_list(source: str) -> mj.EigenList:
+    """Inline JSON list, JSON file, or CSV file (one value per line)."""
     text = source.strip()
     if text.startswith("["):
-        return EigenList(json.loads(text))
+        return mj.EigenList(json.loads(text))
     path = Path(source)
     if path.suffix.lower() == ".csv":
-        return EigenList([float(line) for line in path.read_text().splitlines() if line.strip()])
-    data = json.loads(path.read_text())
+        return mj.EigenList([float(line) for line in path.read_text().splitlines() if line.strip()])
+    data = _read(source)
     if isinstance(data, list):
-        return EigenList(data)
-    return EigenList.from_jsonable(data)
+        return mj.EigenList(data)
+    return mj.EigenList.from_jsonable(data)
 
 
-def _load_matrix(source: str) -> HermitianMatrix:
-    from .horn import HermitianMatrix
-
-    return HermitianMatrix.from_jsonable(json.loads(Path(source).read_text()))
-
-
-def _load_measure(source: str) -> CompactMeasure:
+def _load_measure(source: str) -> mj.CompactMeasure:
     """Measure JSON, a `measure` report (its "measure" object), or a matrix
     JSON whose spectral distribution is taken."""
-    from .horn import HermitianMatrix
-    from .measures import CompactMeasure, from_matrix
-
-    data = json.loads(Path(source).read_text())
+    data = _read(source)
     if isinstance(data, dict):
         if "entries" in data:
-            return from_matrix(HermitianMatrix.from_jsonable(data))
+            return mj.from_matrix(mj.HermitianMatrix.from_jsonable(data))
         data = data.get("measure", data)
-    return CompactMeasure.from_jsonable(data)
-
-
-def _load_step(source: str) -> StepFunction:
-    from .measures import StepFunction
-
-    return StepFunction.from_jsonable(json.loads(Path(source).read_text()))
+    return mj.CompactMeasure.from_jsonable(data)
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -80,7 +65,7 @@ def _seed(args: argparse.Namespace) -> int:
     try:
         return int(env) if env is not None else int(args.seed)
     except ValueError:
-        raise MajorantError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+        raise mj.MajorantError(f"{SEED_ENV} must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="majorant",
         description="Constructions and checks for spectra, diagonals and spectral distributions.",
     )
-    parser.add_argument("--version", action="version", version=f"majorant {__version__}")
+    parser.add_argument("--version", action="version", version=f"majorant {mj.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("majorize", help="prefix-sum comparison of two lists")
@@ -153,79 +138,61 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
     """The command's JSON payload and its exit status; ``main`` writes the payload."""
     if args.command == "majorize":
-        from .eigenlists import DEFAULT_TOL, check_majorization
+        from .eigenlists import DEFAULT_TOL
 
         tol = DEFAULT_TOL if args.tol is None else args.tol
-        report = check_majorization(_load_list(args.p), _load_list(args.lam), args.mode, tol)
+        report = mj.check_majorization(_load_list(args.p), _load_list(args.lam), args.mode, tol)
         return {"mode": args.mode, "tol": tol, **report.to_jsonable()}, 0 if report.holds else 1
 
     if args.command == "reduce":
-        from .eigenlists import reduce_to_equality
-
-        return reduce_to_equality(_load_list(args.p), _load_list(args.lam)).to_jsonable(), 0
+        return mj.reduce_to_equality(_load_list(args.p), _load_list(args.lam)).to_jsonable(), 0
 
     if args.command == "construct":
         lam, p = _load_list(args.lam), _load_list(args.p)
-        if args.truncate is not None:
-            from .trace_class import realize_finite_rank
-
-            matrix = realize_finite_rank(lam, p, args.truncate)
-        else:
-            from .horn import horn_construct
-
-            matrix = horn_construct(lam, p)
-        return matrix.to_jsonable(), 0
+        if args.truncate is None:
+            return mj.horn_construct(lam, p).to_jsonable(), 0
+        return mj.realize_finite_rank(lam, p, args.truncate).to_jsonable(), 0
 
     if args.command == "contraction":
         from .horn import matrix_to_jsonable
-        from .trace_class import contraction_diagonal
 
-        L = contraction_diagonal(_load_matrix(args.matrix), _load_list(args.p))
-        return matrix_to_jsonable(L), 0
+        A = mj.HermitianMatrix.from_jsonable(_read(args.matrix))
+        return matrix_to_jsonable(mj.contraction_diagonal(A, _load_list(args.p))), 0
 
     if args.command == "projection":
-        from .trace_class import projection_with_diagonal
-
-        return projection_with_diagonal(_load_list(args.p), args.rank, args.truncate).to_jsonable(), 0
+        return mj.projection_with_diagonal(_load_list(args.p), args.rank, args.truncate).to_jsonable(), 0
 
     if args.command == "measure":
-        from .measures import _hinge_tail, _survivor_tail, moment
+        from .measures import _hinge_tail, _survivor_tail
 
         m = _load_measure(args.source)
         x = m.breakpoints()
         tails = zip(x.tolist(), _survivor_tail(m, x).tolist(), _hinge_tail(m, x).tolist())
         return {
             "measure": m.to_jsonable(),
-            "moments": [moment(m, k) for k in range(MAX_MOMENT + 1)],
+            "moments": [mj.moment(m, k) for k in range(MAX_MOMENT + 1)],
             "tails": [{"t": t, "survivor": s, "hinge": h} for t, s, h in tails],
         }, 0
 
     if args.command == "majorize-measure":
-        from .measures import majorize_measure
-
         m, n = _load_measure(args.m), _load_measure(args.n)
         methods = (
             ["hinge", "survivor", "convex_family"] if args.method == "all" else [args.method]
         )
-        verdicts = {name: majorize_measure(m, n, name) for name in methods}
+        verdicts = {name: mj.majorize_measure(m, n, name) for name in methods}
         majorized = all(verdicts.values())
         return {"methods": verdicts, "majorized": majorized}, 0 if majorized else 1
 
     if args.command == "transport":
-        from .measures import quantile_transport
-
-        return quantile_transport(_load_measure(args.measure), args.cells).to_jsonable(), 0
+        return mj.quantile_transport(_load_measure(args.measure), args.cells).to_jsonable(), 0
 
     if args.command == "pinch-experiment":
-        from .pinching import pinch_experiment
-
-        report = pinch_experiment(args.n, args.trials, _seed(args))
+        report = mj.pinch_experiment(args.n, args.trials, _seed(args))
         return report, 0 if report["holds"] else 1
 
     if args.command == "align":
-        from .pinching import align_step_functions
-
-        perm, achieved = align_step_functions(_load_step(args.f), _load_step(args.g), args.eps)
+        f, g = (mj.StepFunction.from_jsonable(_read(source)) for source in (args.f, args.g))
+        perm, achieved = mj.align_step_functions(f, g, args.eps)
         return {"permutation": list(perm), "achieved": achieved, "bound": 2.0 * args.eps}, 0
 
     raise AssertionError(f"unhandled command {args.command!r}")
@@ -235,8 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, code = _run(args)
-        from .serialize import dumps
-
         text = dumps(payload)
         out = getattr(args, "output", None)
         if out:
@@ -244,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(text)
         return code
-    except (MajorantError, OSError, ValueError, MemoryError) as exc:
+    except (mj.MajorantError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -111,6 +111,12 @@ class MajorizationReport:
         }
 
 
+def _nonnegative(values: np.ndarray, what: str) -> None:
+    """Reject an entry below 0 by more than round-off of the list's largest entry."""
+    if np.min(values, initial=0.0) < -scaled(ROUND_OFF, values):
+        raise InvalidInput(f"{what} must be nonnegative")
+
+
 def _padded_pair(p: ListLike, lam: ListLike) -> tuple[np.ndarray, np.ndarray]:
     pe, le = as_eigenlist(p), as_eigenlist(lam)
     n = max(len(pe), len(le))
@@ -167,7 +173,9 @@ def reduce_to_equality(p: ListLike, lam: ListLike, tol: float = DEFAULT_TOL) -> 
 
     Given nonnegative decreasing p and lam whose prefix sums dominate
     p's, returns a decreasing mu with 0 <= mu_k <= lam_k, prefix sums of
-    mu still dominating p's, and sum(mu) = sum(p) up to round-off.
+    mu still dominating p's, and sum(mu) = sum(p) up to round-off.  An
+    entry may be below 0 by round-off of its list's largest entry, as in
+    ``feasible_diagonal``; it is taken as 0.
 
     The construction is inductive: having solved the length k-1 problem
     with an exact total, append a zero, and take the convex combination
@@ -176,8 +184,9 @@ def reduce_to_equality(p: ListLike, lam: ListLike, tol: float = DEFAULT_TOL) -> 
     a convex set, so every point on the segment satisfies them too.
     """
     pv, lv = _padded_pair(p, lam)
-    if np.any(pv < 0.0) or np.any(lv < 0.0):
-        raise InvalidInput("reduce_to_equality requires nonnegative lists")
+    _nonnegative(pv, "p")
+    _nonnegative(lv, "lam")
+    pv, lv = np.maximum(pv, 0.0), np.maximum(lv, 0.0)
     if not check_majorization(pv, lv, "dominance", tol).holds:
         raise MajorizationViolation("prefix sums of p must be dominated by those of lam")
     n = pv.size

@@ -12,9 +12,10 @@ column past j has been rotated and, off the diagonal, they are still
 exactly 0.  Rotating the leading block a[: j + 1, : j + 1] alone is
 therefore exact: the full rotation would recompute the rest of rows and
 columns i and j from those zeros as the same zeros.  A chain is one
-value from the pivot scan to the frame: its pivots, its weights and its
-rotation blocks, built once in one vectorized pass over the weights,
-with their transposes as views of them.  A step then pays only
+value from the pivot scan to the frame: its pivots and its weights.
+Its rotation blocks are built where they are used, in one vectorized
+pass over the weights, with their transposes as views of them, so
+``t_transform_chain`` builds none.  A step then pays only
 for views, ``ndarray.dot`` and slice assignment: ``.dot`` calls the
 same BLAS product as ``@`` on these shapes, bit for bit, without the
 ufunc dispatch around it, and no step builds a transpose.  The
@@ -208,16 +209,15 @@ def _rotation_blocks(t: np.ndarray) -> np.ndarray:
 
 
 class _Chain(NamedTuple):
-    """A mixing chain: pivots i < j, weights t in [0, 1] and the (m, 2, 2) rotation blocks."""
+    """A mixing chain: pivots i < j and weights t in [0, 1]."""
 
     i: list[int]
     j: list[int]
     t: np.ndarray
-    blocks: np.ndarray
 
 
 def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
-    """The mixing chain carrying a checked pair ``le`` onto ``pe``, every block built in one pass.
+    """The mixing chain carrying a checked pair ``le`` onto ``pe``.
 
     The rule of ``t_transform_chain``, with each t clamped into [0, 1]
     as ``TTransform`` clamps it.  A scan that runs off the end before
@@ -262,7 +262,7 @@ def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
     if not np.all(t >= -ROUND_OFF):
         raise InvalidInput("mixing weight t must lie in [0, 1]")
     t = np.minimum(1.0, np.maximum(0.0, t))
-    return _Chain(pivots_i, pivots_j, t, _rotation_blocks(t))
+    return _Chain(pivots_i, pivots_j, t)
 
 
 def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DECISION) -> list[TTransform]:
@@ -285,7 +285,7 @@ def _frame(n: int, chain: _Chain) -> np.ndarray:
     Rows and columns past j are still the identity's before a step (i, j).
     """
     q = np.eye(n)
-    for i, j, block in zip(chain.i, chain.j, chain.blocks):
+    for i, j, block in zip(chain.i, chain.j, _rotation_blocks(chain.t)):
         rows = q[i : j + 1 : j - i, : j + 1]
         rows[...] = block.dot(rows)
     return q
@@ -341,8 +341,9 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> Hermiti
     le, pe = _feasible(lam, p, tol)
     chain = _mixing_steps(le, pe, tol)
     a = np.diag(le.values)
+    blocks = _rotation_blocks(chain.t)
     # the blocks are real, so their transposes are their conjugate transposes
-    for i, j, block, block_h in zip(chain.i, chain.j, chain.blocks, chain.blocks.transpose(0, 2, 1)):
+    for i, j, block, block_h in zip(chain.i, chain.j, blocks, blocks.transpose(0, 2, 1)):
         # rows and columns past j are still 0 off the diagonal, and a_ij == 0
         # keeps the rotation real, so it works in place on the leading block
         _rotate(a[: j + 1, : j + 1], i, j, block, block_h)

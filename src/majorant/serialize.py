@@ -2,7 +2,9 @@
 
 Reports are meant to be diffed and byte-compared across runs, so every
 float is printed with 17 significant digits (enough to round-trip an
-IEEE double) instead of the shortest-representation repr.
+IEEE double) instead of the shortest-representation repr.  Only Python
+values are written (None, bool, int, float, str, dict, list, tuple), so
+``np.float64``, a float, prints and a NumPy integer or array is refused.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 import json
 import math
 from typing import Any
-
-import numpy as np
 
 from .errors import InvalidInput
 
@@ -30,14 +30,12 @@ def dumps(obj: Any) -> str:
 
 
 def _write(obj: Any, out: list[str]) -> None:
-    if obj is None or isinstance(obj, bool):
+    if obj is None or isinstance(obj, (bool, str)):
         out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+    elif isinstance(obj, float):
+        out.append(format_float(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for k, (key, value) in enumerate(obj.items()):
@@ -47,7 +45,7 @@ def _write(obj: Any, out: list[str]) -> None:
             out.append(": ")
             _write(value, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
         for k, value in enumerate(obj):
             if k:

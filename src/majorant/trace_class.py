@@ -12,14 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._tol import DECISION, ROUND_OFF, scaled
-from .eigenlists import EigenList, ListLike, as_eigenlist, check_majorization, reduce_to_equality
+from .eigenlists import EigenList, ListLike, _nonnegative, as_eigenlist, check_majorization, reduce_to_equality
 from .errors import InvalidInput, TraceMismatch
 from .horn import HermitianMatrix, MatrixLike, _frame, _mixing_steps, as_hermitian, eigh_desc, horn_construct
-
-
-def _nonnegative(values: np.ndarray, what: str) -> None:
-    if np.min(values, initial=0.0) < -scaled(ROUND_OFF, values):
-        raise InvalidInput(f"{what} must be nonnegative")
 
 
 def feasible_diagonal(p: ListLike, lam: ListLike, tol: float = DECISION) -> bool:

@@ -293,19 +293,16 @@ class TestFailuresAreNotVerdicts:
     ], ids=["numpy-message", "bare"])
     @pytest.mark.parametrize("command", ["majorize-measure", "construct"])
     def test_memory_error_exits_two(self, capsys, monkeypatch, tmp_path, command, exc):
-        import majorant.horn
-        import majorant.measures
-
         def exhausted(*args, **kwargs):
             raise exc
 
         point = tmp_path / "point.json"
         point.write_text(json.dumps({"atoms": [{"x": 1.0, "mass": 1.0}]}))
         if command == "construct":
-            monkeypatch.setattr(majorant.horn, "horn_construct", exhausted)
+            monkeypatch.setattr(majorant, "horn_construct", exhausted)
             argv = ("construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]")
         else:
-            monkeypatch.setattr(majorant.measures, "majorize_measure", exhausted)
+            monkeypatch.setattr(majorant, "majorize_measure", exhausted)
             argv = ("majorize-measure", "--m", str(point), "--n", str(point))
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -316,19 +313,16 @@ class TestFailuresAreNotVerdicts:
     @pytest.mark.parametrize("command", ["majorize-measure", "construct"])
     def test_unexpected_exception_exits_two(self, capsys, monkeypatch, tmp_path, command):
         # a defect in a route is reported with its traceback, and never as exit 1
-        import majorant.horn
-        import majorant.measures
-
         def broken(*args, **kwargs):
             raise RuntimeError("route failed")
 
         point = tmp_path / "point.json"
         point.write_text(json.dumps({"atoms": [{"x": 1.0, "mass": 1.0}]}))
         if command == "construct":
-            monkeypatch.setattr(majorant.horn, "horn_construct", broken)
+            monkeypatch.setattr(majorant, "horn_construct", broken)
             argv = ("construct", "--lambda", "[2, 1, 0]", "--p", "[1, 1, 1]")
         else:
-            monkeypatch.setattr(majorant.measures, "majorize_measure", broken)
+            monkeypatch.setattr(majorant, "majorize_measure", broken)
             argv = ("majorize-measure", "--m", str(point), "--n", str(point))
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -615,11 +609,19 @@ class TestPinchExperimentOutputIsPinned:
     ({"slack": [1.0, np.inf]}, "cannot serialize a non-finite number"),
     ({1, 2}, "cannot serialize object of type set"),
     ([object()], "cannot serialize object of type object"),
-], ids=["nan", "inf-in-a-report", "set", "object"])
+    (np.int64(1), "cannot serialize object of type int64"),
+    (np.True_, "cannot serialize object of type bool"),
+    (np.array([1.0]), "cannot serialize object of type ndarray"),
+], ids=["nan", "inf-in-a-report", "set", "object", "numpy-integer", "numpy-bool", "ndarray"])
 def test_serializer_rejects(obj, message):
     with pytest.raises(majorant.InvalidInput) as caught:
         dumps(obj)
     assert str(caught.value) == message
+
+
+def test_serializer_writes_a_numpy_float_as_its_float():
+    # np.float64 subclasses float, so it is a Python value
+    assert dumps([np.float64(0.1)]) == dumps([0.1])
 
 
 def loaded_submodules(code: str) -> set[str]:
@@ -643,6 +645,10 @@ class TestProcessesImportOnlyWhatTheyRun:
     def test_cli_import_loads_no_numpy(self):
         # so that run_process can import NumPy with the collector off
         done = run_python("-c", "import sys, majorant.cli; print('numpy' in sys.modules)")
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+    def test_serialize_import_loads_no_numpy(self):
+        done = run_python("-c", "import sys, majorant.serialize; print('numpy' in sys.modules)")
         assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
     @pytest.mark.parametrize("extra", [(), ("--truncate", "4")], ids=["plain", "truncate"])

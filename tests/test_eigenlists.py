@@ -164,6 +164,11 @@ class TestReduceToEquality:
         with pytest.raises(InvalidInput):
             reduce_to_equality((-1.0,), (0.0,))
 
+    def test_round_off_below_zero_is_zero(self):
+        # the round-off rule of feasible_diagonal, which accepts this p
+        mu = reduce_to_equality([1.0, -1e-16], [2.0, 1.0])
+        np.testing.assert_array_equal(mu.values, [1.0, 0.0])
+
     def test_random_instances_pass_validator(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -180,6 +180,13 @@ class TestContractionDiagonal:
         with pytest.raises(InvalidInput):
             contraction_diagonal(HermitianMatrix(np.diag([1.0, -1.0])), (0.5,))
 
+    def test_round_off_below_zero_target_is_zero(self):
+        # the target passes the round-off rule of its own check, and the
+        # reduction it runs applies the same rule
+        a = np.diag([2.0, 1.0, 0.0])
+        L = contraction_diagonal(HermitianMatrix(a), [1.0, -1e-16])
+        np.testing.assert_allclose(np.diag(L.conj().T @ a @ L).real, [1.0, 0.0, 0.0], atol=1e-15)
+
 
 class TestProjectionWithDiagonal:
     def test_balanced_two_by_two(self):
