@@ -182,30 +182,29 @@ def reduce_to_equality(p: ListLike, lam: ListLike, tol: float = DEFAULT_TOL) -> 
     with lam itself whose total hits the length-k target.  Both endpoints
     satisfy all order and cap constraints, and those constraints cut out
     a convex set, so every point on the segment satisfies them too.
+
+    The steps are unrolled in closed form, O(r).  With T and Y the prefix
+    sums of p and lam, step k >= 2 mixes in lam with weight
+    s_k = p_k / (Y_k - T_{k-1}), clipped to [0, 1], and s_k = 0 when that
+    gap is not positive; s_1 = 0.  Step k's share survives every later
+    step as later_k = prod_{m > k} (1 - s_m), so
+    mu_i = lam_i * sum_{k >= i} s_k later_k, plus p_1 later_1 on mu_1.
+    The gap is p_k plus the k-th slack of the dominance check.
     """
     pv, lv = _padded_pair(p, lam)
     _nonnegative(pv, "p")
     _nonnegative(lv, "lam")
     pv, lv = np.maximum(pv, 0.0), np.maximum(lv, 0.0)
-    if not check_majorization(pv, lv, "dominance", tol).holds:
+    report = check_majorization(pv, lv, "dominance", tol)
+    if not report.holds:
         raise MajorizationViolation("prefix sums of p must be dominated by those of lam")
-    n = pv.size
-    # buf[:k] is the length-k iterate; buf[k - 1] is still the appended zero
-    buf = np.zeros(n)
-    buf[0] = pv[0]
-    target = float(pv[0])  # Python floats: the same IEEE arithmetic as NumPy scalars
-    for k, pk in enumerate(pv[1:].tolist(), start=2):
-        x = buf[:k]
-        y = lv[:k]
-        target += pk
-        fx, fy = float(x.sum()), float(y.sum())
-        if fy <= fx:
-            s = 0.0
-        else:
-            s = min(1.0, max(0.0, (target - fx) / (fy - fx)))
-        x *= 1.0 - s
-        x += s * y
-    return EigenList(buf)
+    gap = pv + report.slack
+    s = np.minimum(np.divide(pv, gap, out=np.zeros_like(pv), where=gap > 0.0), 1.0)
+    s[0] = 0.0
+    later = np.append(np.cumprod(1.0 - s[:0:-1])[::-1], 1.0)
+    mu = lv * np.cumsum((s * later)[::-1])[::-1]
+    mu[0] += pv[0] * later[0]
+    return EigenList(mu)
 
 
 def hlp_convex_check(

@@ -120,6 +120,8 @@ def matrix_from_jsonable(data) -> np.ndarray:
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise InvalidInput('matrix JSON must be {"dim": n, "entries": [[[re,im],...],...]}')
     n = data["dim"]
+    if type(n) is not int:  # a JSON integer; bool is a subclass of int
+        raise InvalidInput("declared dim must be an integer")
     rows = data["entries"]
     try:
         arr = np.array(

@@ -30,7 +30,7 @@ DIGESTS = {
     "eigh_desc": "2b08eda0b4ac6f3f4c6e8b30efc827d672b5aa44d589368d6595a6feb32c801d",
     "realize_finite_rank": "f67947a2a22f2597ca6ae42e45f1513185dc6913dfe9fb85f15f0071f82d915c",
     "projection_with_diagonal": "cac11ec81293c8d8ae59cc916458a0b2106c013c465fa6ed130cea9c641127ac",
-    "contraction_diagonal": "e2bd3c9012fba5c0396b0ba065cc104daae466143707b8bf685e6c40474da44f",
+    "contraction_diagonal": "924c212b4e4ee76ed5db0140beecb5643005511550b5ea49e5223bbba9dcb706",
     "apply_t_transform_real": "b69a1943da0d313e6d0d3404e28ef6d1bcec110505a878b8aee132764ee8c66b",
     "apply_t_transform_phase": "cf700ab2a3371bafa67d244ca601f4850b6a4332cb739e5d2c463b1f42a02b7d",
 }

@@ -196,6 +196,13 @@ class TestOtherCommands:
         assert (code, out) == (2, "")
         assert err == "error: declared N must be an integer\n"
 
+    def test_matrix_with_a_boolean_dim_exits_two(self, capsys, tmp_path):
+        a_file = tmp_path / "a.json"
+        a_file.write_text(json.dumps({"dim": True, "entries": [[[1.0, 0.0]]]}))
+        code, out, err = run(capsys, "contraction", "--matrix", str(a_file), "--p", "[0.5]")
+        assert (code, out) == (2, "")
+        assert err == "error: declared dim must be an integer\n"
+
     def test_file_without_a_measure_exits_two(self, capsys, tmp_path):
         m_file = tmp_path / "m.json"
         m_file.write_text(json.dumps({"moments": []}))
@@ -270,7 +277,7 @@ class TestListOutputIsPinned:
         pytest.param(("reduce", "--p", "[1, 1]", "--lambda", "[3, 2]"), 0,
                      "f8f196a25f9db9dec8857fc329860339203b07103116979f44d9ca9d572e3ae4", id="reduce-readme"),
         pytest.param(("reduce", "--p", P16, "--lambda", LAM32), 0,
-                     "1358df3e9575360c61dab643bbf0263e7503ea281a83eb0e0c920429c82b8439", id="reduce-n32"),
+                     "08b6e03783171491c1acb2e4aac9b29cf1a7c16a48bca06797ce402c90bd34c5", id="reduce-n32"),
     ]
 
     @pytest.mark.parametrize("argv, code, digest", CASES)

@@ -447,12 +447,19 @@ class TestApproxConjugate:
      'matrix JSON must be {"dim": n, "entries": [[[re,im],...],...]}'),
     (lambda: horn_module.matrix_from_jsonable({"dim": 1, "entries": [[[1.0]]]}),
      "malformed matrix entries: list index out of range"),
+    (lambda: horn_module.matrix_from_jsonable({"dim": True, "entries": [[[1, 0]]]}),
+     "declared dim must be an integer"),
+    (lambda: horn_module.matrix_from_jsonable({"dim": 2.0, "entries": [[[1, 0], [0, 0]]] * 2}),
+     "declared dim must be an integer"),
+    (lambda: horn_module.matrix_from_jsonable({"dim": None, "entries": [[[1, 0]]]}),
+     "declared dim must be an integer"),
     (lambda: TTransform(0, 3, 0.5).apply_to_vector([1.0, 2.0, 3.0]),
      "transposition index out of range"),
     (lambda: approx_conjugate(np.eye(2), np.eye(3), 0.1), "matrices must have equal dimension"),
     (lambda: approx_conjugate(np.eye(2), np.eye(2), 0.0), "eps must be positive"),
     (lambda: approx_conjugate(np.eye(2), np.eye(2), -0.1), "eps must be positive"),
-], ids=["matrix-json-not-a-dict", "matrix-json-short-cell", "apply-j-out-of-range",
+], ids=["matrix-json-not-a-dict", "matrix-json-short-cell", "matrix-json-dim-true",
+        "matrix-json-dim-float", "matrix-json-dim-null", "apply-j-out-of-range",
         "conjugate-unequal-dims", "conjugate-eps-zero", "conjugate-eps-negative"])
 def test_invalid_input_is_rejected(call, message):
     with pytest.raises(InvalidInput) as caught:

@@ -25,10 +25,17 @@ from majorant import (
     horn_construct,
     majorize_measure,
     normalize_list,
+    reduce_to_equality,
 )
 from majorant.eigenlists import as_eigenlist
 from majorant.horn import TTransform
-from majorant.sampling import random_majorizing_pair, random_ordered_pair, random_psd, spread_measure
+from majorant.sampling import (
+    random_dominance_pair,
+    random_majorizing_pair,
+    random_ordered_pair,
+    random_psd,
+    spread_measure,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 METHODS = ("hinge", "survivor", "convex_family")
@@ -108,6 +115,35 @@ def test_construction_round_trip_is_scale_free(n, seed, k):
     p, lam = random_majorizing_pair(np.random.default_rng(seed), n)
     c = 10.0**k
     assert_round_trip(lam.values * c, p.values * c)
+
+
+# multiplying by 2^k is exact and commutes with every later rounding while
+# nothing under- or overflows, so the outputs must follow the input bit for bit
+POWERS_OF_TWO = (-40, -3, 5, 60)
+
+
+@pytest.mark.parametrize("k", POWERS_OF_TWO)
+def test_reduction_commutes_with_a_power_of_two(k):
+    rng = np.random.default_rng(2026)
+    c = 2.0**k
+    for n in range(1, 41):
+        for r in (None, int(rng.integers(1, n + 1))):
+            p, lam = random_dominance_pair(rng, n, r=r)
+            want = reduce_to_equality(p, lam).values * c
+            got = reduce_to_equality(p.values * c, lam.values * c).values
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", POWERS_OF_TWO)
+def test_contraction_is_unchanged_by_a_power_of_two(k):
+    rng = np.random.default_rng(2026)
+    c = 2.0**k
+    for n in range(2, 12):
+        p, lam = random_dominance_pair(rng, n, r=int(rng.integers(1, n + 1)))
+        q = normalize_list(sum(w * rng.permutation(lam.values) for w in rng.dirichlet(np.ones(4))))
+        want = contraction_diagonal(horn_construct(lam, q), p)
+        got = contraction_diagonal(horn_construct(lam.values * c, q.values * c), p.values * c)
+        assert got.tobytes() == want.tobytes()
 
 
 @SETTINGS
