@@ -26,6 +26,11 @@ def _readonly_copy(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_integer(v) -> bool:
+    """A Python or NumPy integer, and not a bool (which ``int`` would admit as 0 or 1)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _to_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:

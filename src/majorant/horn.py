@@ -7,18 +7,23 @@ step is realized by a plane rotation.  Each step pins one of its two
 coordinates at its target and no step rotates a pinned one, so the
 submatrix on the unpinned coordinates stays diagonal, a_ij == 0 whenever
 (i, j) is rotated, and every construction is real orthogonal.  Both
-pivots of the chain only move right, so before a step (i, j) no row or
-column past j has been rotated and, off the diagonal, they are still
-exactly 0.  Rotating the leading block a[: j + 1, : j + 1] alone is
-therefore exact: the full rotation would recompute the rest of rows and
-columns i and j from those zeros as the same zeros.  A chain is one
-value from the pivot scan to the frame: its pivots and its weights.
-Its rotation blocks are built where they are used, in one vectorized
-pass over the weights, with their transposes as views of them, so
-``t_transform_chain`` builds none.  A step then pays only
-for views, ``ndarray.dot`` and slice assignment: ``.dot`` calls the
-same BLAS product as ``@`` on these shapes, bit for bit, without the
-ufunc dispatch around it, and no step builds a transpose.  The
+pivots of the chain only move right, and a step leaves at most one of
+them unpinned: the next step's *carry*.  The next step's other pivot is
+*fresh*: never rotated, so its row and column are still exactly 0 off
+the diagonal.  A construction's step therefore works on rows alone: the
+fresh row becomes -s (carry i) or +s (carry j) times the carry row, the
+carry row is scaled by c, and the new corner entry c s (x_j - x_i) goes
+into the row of the pivot the step leaves unpinned (c = sqrt(t),
+s = sqrt(1 - t)).  Each off-diagonal entry is so written once, in the
+row of its later-pinned coordinate, and one mirror ``a + a.T`` completes
+the matrix, bitwise symmetric; the diagonal is each coordinate's corner
+value c^2 x_i + s^2 x_j or s^2 x_i + c^2 x_j at its last step.  Every
+operation is elementwise and rounds on its own, so a construction has
+the same bits under every BLAS kernel.  A chain is one value from the
+pivot scan to the matrix: its pivots, its weights, the pivots' values
+before each step and the pivot each step leaves unpinned.  ``_frame``
+and ``apply_t_transform`` rotate by 2 x 2 ``ndarray.dot`` products, with
+blocks built in one vectorized pass over the weights.  The
 product of a chain's rotations is an eigenframe of its construction
 (``horn_frame``); a construction keeps its spectrum and chain, so
 ``eigh_desc`` of it takes no eigensolve.  Input is validated once: a unitary
@@ -37,7 +42,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from ._tol import DECISION, ROUND_OFF, scaled
-from .eigenlists import EigenList, ListLike, _readonly_copy, as_eigenlist, check_majorization
+from .eigenlists import EigenList, ListLike, _is_integer, _readonly_copy, as_eigenlist, check_majorization
 from .errors import DistributionMismatch, InvalidInput, MajorizationViolation
 
 
@@ -161,7 +166,7 @@ class TTransform:
 
     def __post_init__(self):
         i, j, t = self.i, self.j, self.t
-        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        if not (_is_integer(i) and _is_integer(j)):
             raise InvalidInput("transposition indices must be integers")
         if not 0 <= i < j:
             raise InvalidInput("need 0 <= i < j")
@@ -211,11 +216,16 @@ def _rotation_blocks(t: np.ndarray) -> np.ndarray:
 
 
 class _Chain(NamedTuple):
-    """A mixing chain: pivots i < j and weights t in [0, 1]."""
+    """A mixing chain: pivots i < j, weights t in [0, 1], the pivots' values
+    x_i and x_j before each step, and the pivot each step leaves unpinned
+    (j when it pins both)."""
 
     i: list[int]
     j: list[int]
     t: np.ndarray
+    x_i: np.ndarray
+    x_j: np.ndarray
+    stay: list[int]
 
 
 def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
@@ -232,6 +242,9 @@ def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
     pivots_i: list[int] = []
     pivots_j: list[int] = []
     weights: list[float] = []
+    values_i: list[float] = []
+    values_j: list[float] = []
+    stays: list[int] = []
     i = j = 0
     for _ in range(n - 1):
         while i < n and x[i] - pv[i] <= snap:
@@ -245,26 +258,33 @@ def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
             if residual > scaled(tol, le.values, pe.values):
                 raise MajorizationViolation(f"mixing chain stopped {residual:.3e} away from p")
             break
-        above = x[i] - pv[i]
-        below = pv[j] - x[j]
+        xi, xj = x[i], x[j]
+        above = xi - pv[i]
+        below = pv[j] - xj
         # min(above, below), which keeps the first operand on ties
         delta = below if below < above else above
         pivots_i.append(i)
         pivots_j.append(j)
-        weights.append(1.0 - delta / (x[i] - x[j]))
-        x[i] -= delta
-        x[j] += delta
+        weights.append(1.0 - delta / (xi - xj))
+        values_i.append(xi)
+        values_j.append(xj)
+        x[i] = xi - delta
+        x[j] = xj + delta
         # pin the coordinate that just reached its target (|x - p| <= snap),
         # so later pivots never revisit it
+        stay = j
         if -snap <= x[i] - pv[i] <= snap:
             x[i] = pv[i]
+        else:
+            stay = i
         if -snap <= x[j] - pv[j] <= snap:
             x[j] = pv[j]
+        stays.append(stay)
     t = np.array(weights, dtype=float)
     if not np.all(t >= -ROUND_OFF):
         raise InvalidInput("mixing weight t must lie in [0, 1]")
     t = np.minimum(1.0, np.maximum(0.0, t))
-    return _Chain(pivots_i, pivots_j, t)
+    return _Chain(pivots_i, pivots_j, t, np.array(values_i), np.array(values_j), stays)
 
 
 def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DECISION) -> list[TTransform]:
@@ -293,14 +313,6 @@ def _frame(n: int, chain: _Chain) -> np.ndarray:
     return q
 
 
-def _rotate(a: np.ndarray, i: int, j: int, block: np.ndarray, block_h: np.ndarray) -> None:
-    """Conjugate ``a`` by ``block`` in place, rows and columns i and j only; ``block_h`` is its adjoint."""
-    rows = a[i : j + 1 : j - i]
-    rows[...] = block.dot(rows)
-    cols = a[:, i : j + 1 : j - i]
-    cols[...] = cols.dot(block_h)
-
-
 def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.ndarray, HermitianMatrix]:
     """Conjugate by the plane rotation realizing one mixing step.
 
@@ -325,7 +337,10 @@ def apply_t_transform(matrix: MatrixLike, transform: TTransform) -> tuple[np.nda
         z = 1j * np.conj(aij) / abs(aij)
         block = np.array([[z * c, s], [-z * s, c]])
         result = A.entries.astype(complex)
-    _rotate(result, i, j, block, block.conj().T)
+    rows = result[i : j + 1 : j - i]
+    rows[...] = block.dot(rows)
+    cols = result[:, i : j + 1 : j - i]
+    cols[...] = cols.dot(block.conj().T)
     U = np.eye(A.dim, dtype=result.dtype)
     U[i : j + 1 : j - i, i : j + 1 : j - i] = block
     return U, HermitianMatrix._adopt(result)
@@ -337,18 +352,47 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> Hermiti
     Feasible exactly when p is majorized by lam with equal totals.
     Starts from the diagonal matrix of lam and conjugates along the
     mixing chain; every step is a similarity, so the spectrum never
-    moves while the diagonal walks to p.  Only the input is validated; the
-    finished matrix is adopted.  It keeps ``lam`` and the chain, for ``eigh_desc``.
+    moves while the diagonal walks to p.  Each step writes rows only (the
+    module docstring says why that is exact).  Only the input is validated;
+    the finished matrix is adopted.  It keeps ``lam`` and the chain, for
+    ``eigh_desc``.
     """
     le, pe = _feasible(lam, p, tol)
     chain = _mixing_steps(le, pe, tol)
-    a = np.diag(le.values)
-    blocks = _rotation_blocks(chain.t)
-    # the blocks are real, so their transposes are their conjugate transposes
-    for i, j, block, block_h in zip(chain.i, chain.j, blocks, blocks.transpose(0, 2, 1)):
-        # rows and columns past j are still 0 off the diagonal, and a_ij == 0
-        # keeps the rotation real, so it works in place on the leading block
-        _rotate(a[: j + 1, : j + 1], i, j, block, block_h)
+    n = len(le)
+    c = np.sqrt(chain.t)
+    s = np.sqrt(1.0 - chain.t)
+    a = np.zeros((n, n))
+    rows = list(a)
+    carry = -1
+    corners = (c * s * (chain.x_j - chain.x_i)).tolist()
+    for i, j, ck, sk, corner, stay in zip(chain.i, chain.j, c.tolist(), s.tolist(), corners, chain.stay):
+        # the pivot that is not the carry is fresh: its row is still 0, and so
+        # is the carry row past j and on the diagonal
+        if carry == j:
+            carry_row = rows[j]
+            np.multiply(carry_row, sk, out=rows[i])
+        else:
+            carry_row = rows[i]
+            np.multiply(carry_row, -sk, out=rows[j])
+        carry_row *= ck
+        # the corner entry goes into the row of the pivot that stays unpinned
+        rows[stay][i + j - stay] = corner
+        carry = stay
+    # each off-diagonal entry sits in one of its two rows; adding +0.0 clears
+    # the sign of a zero that -s times a zero left on both sides
+    a = a + a.T
+    a += 0.0
+    d = le.values.copy()
+    cc, ss = c * c, s * s
+    for pivots, value in (
+        (np.array(chain.i, dtype=np.intp), cc * chain.x_i + ss * chain.x_j),
+        (np.array(chain.j, dtype=np.intp), ss * chain.x_i + cc * chain.x_j),
+    ):
+        # pivots only move right and no coordinate is both an i and a j pivot, so
+        # a coordinate's steps are one run of its sorted list: all take the last
+        d[pivots] = value[np.searchsorted(pivots, pivots, side="right") - 1]
+    np.fill_diagonal(a, d)
     return HermitianMatrix._adopt(a, (le.values, chain))
 
 
@@ -369,7 +413,7 @@ def ky_fan_sum(matrix: MatrixLike, k: int) -> float:
     P, attained by projecting onto k top eigenvectors.
     """
     A = as_hermitian(matrix)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= A.dim:
+    if not _is_integer(k) or not 1 <= k <= A.dim:
         raise InvalidInput("k must satisfy 1 <= k <= dim")
     vals = np.linalg.eigvalsh(A.entries)
     return float(vals[::-1][:k].sum())

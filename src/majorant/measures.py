@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._tol import DECISION, ROUND_OFF
-from .eigenlists import _readonly_copy
+from .eigenlists import _is_integer, _readonly_copy
 from .errors import InvalidInput
 from .horn import MatrixLike, as_hermitian
 
@@ -247,7 +247,7 @@ class StepFunction:
 
 def moment(m: CompactMeasure, k: int) -> float:
     """k-th moment, in closed form (exact power-sum integrals on pieces)."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
+    if not _is_integer(k) or k < 0:
         raise InvalidInput("moment order must be a nonnegative integer")
     k = int(k)
     try:
@@ -474,7 +474,7 @@ def quantile_transport(m: CompactMeasure, cells: int) -> StepFunction:
     to m as N grows; it reproduces m exactly when m is atomic with all
     masses integer multiples of 1/N.
     """
-    if not isinstance(cells, (int, np.integer)) or cells < 1:
+    if not _is_integer(cells) or cells < 1:
         raise InvalidInput("cell count must be a positive integer")
     probs = (np.arange(int(cells)) + 0.5) / int(cells)
     return StepFunction(_quantiles(m, probs))

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ._tol import ROUND_OFF, WITNESS as WITNESS_TOL, scaled
-from .eigenlists import check_majorization, hinge, normalize_list
+from .eigenlists import _is_integer, check_majorization, hinge, normalize_list
 from .errors import DistributionMismatch, InvalidInput
 from .horn import HermitianMatrix, MatrixLike, _check_self_adjoint, as_hermitian
 from .measures import StepFunction, from_matrix, majorize_measure
@@ -198,7 +198,7 @@ def pinch_experiment(n: int, trials: int, seed: int) -> dict:
     the trial-by-trial sweep's bit for bit.  The report is a plain dict
     ready for JSON emission; ``min_witness`` staying above -1e-9 passes.
     """
-    if not all(isinstance(v, (int, np.integer)) for v in (n, trials, seed)):
+    if not all(map(_is_integer, (n, trials, seed))):
         raise InvalidInput("n, trials and seed must be integers")
     if n < 1 or trials < 1:
         raise InvalidInput("need n >= 1 and trials >= 1")

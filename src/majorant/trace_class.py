@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._tol import DECISION, ROUND_OFF, scaled
-from .eigenlists import EigenList, ListLike, _nonnegative, as_eigenlist, check_majorization, reduce_to_equality
+from .eigenlists import (
+    EigenList, ListLike, _is_integer, _nonnegative, as_eigenlist, check_majorization, reduce_to_equality,
+)
 from .errors import InvalidInput, TraceMismatch
 from .horn import HermitianMatrix, MatrixLike, _frame, _mixing_steps, as_hermitian, eigh_desc, horn_construct
 
@@ -45,7 +47,7 @@ def realize_finite_rank(lam: ListLike, p: ListLike, n: int, tol: float = DECISIO
     lists with zeros to length n and run the prescribed-diagonal
     construction.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise InvalidInput("truncation size must be a positive integer")
     pe, le = as_eigenlist(p), as_eigenlist(lam)
     _nonnegative(pe.values, "diagonal list")
@@ -101,9 +103,9 @@ def projection_with_diagonal(p: ListLike, rank: int, n: int, tol: float = DECISI
     prefix sums of (1, ..., 1, 0, ..., 0).
     """
     pe = as_eigenlist(p)
-    if not isinstance(rank, (int, np.integer)) or rank < 1:
+    if not _is_integer(rank) or rank < 1:
         raise InvalidInput("rank must be a positive integer")
-    if not isinstance(n, (int, np.integer)) or n < rank:
+    if not _is_integer(n) or n < rank:
         raise InvalidInput("need rank <= n")
     values = pe.values
     if np.min(values) < -ROUND_OFF or np.max(values) > 1.0 + ROUND_OFF:

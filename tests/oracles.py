@@ -120,7 +120,7 @@ def reference_rotate(a, transform):
     """One mixing step by fancy-indexed gathers and scatters of rows and columns i, j.
 
     Conjugates ``a`` in place (a complex copy when a real ``a`` needs the
-    phase) and returns it with the 2 x 2 block, as ``horn._rotate`` does.
+    phase) and returns it with its 2 x 2 block, the one ``apply_t_transform`` builds.
     """
     i, j, t = transform.i, transform.j, transform.t
     c = math.sqrt(t)

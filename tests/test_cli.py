@@ -471,7 +471,7 @@ class TestMeasureOutputIsPinned:
     CASES = [
         pytest.param("readme", "871a3d3bc88602bdd5eaf915e7a68399ee0181dab497bfa1eba924c9c0dcba96",
                      id="readme"),
-        pytest.param("n32", "037c69d2bc446d05555eca1e695a6a9eb08687c13ef3bbc7cbd9140eceed05b4",
+        pytest.param("n32", "50f0be397ab81b3bc53b28974d3317a19c4f90febaac5c84bd646fb31f71002c",
                      id="n32"),
         pytest.param("pieces", "458a3850f6a129f1e8bca8f9e63022eab18c5ece91ad4835988069ec45c84bab",
                      id="pieces"),

@@ -40,12 +40,14 @@ def majorizing_pairs(draw):
 
 @SETTINGS
 @given(majorizing_pairs())
-def test_construct_matches_reference_rotations_on_full_matrix(pair):
+def test_construct_matches_reference_rotations_within_n_eps_of_max_lam(pair):
     lam, p = pair
     want = np.diag(lam)
     for step in t_transform_chain(lam, p):
         want, _ = reference_rotate(want, step)
-    assert_bits_equal(horn_construct(lam, p).entries, want)
+    got = horn_construct(lam, p).entries
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= lam.size * np.finfo(float).eps * np.max(np.abs(lam))
 
 
 @SETTINGS

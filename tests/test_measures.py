@@ -1034,8 +1034,13 @@ class TestStepFunction:
      "unknown mode 'cubic'; expected 'hinge' or 'survivor'"),
     (lambda: majorize_measure([0.0, 1.0], CompactMeasure.from_points([0.0, 1.0])),
      "majorize_measure expects two CompactMeasure values"),
+    (lambda: moment(CompactMeasure.from_points([0.0, 1.0]), True),
+     "moment order must be a nonnegative integer"),
+    (lambda: quantile_transport(CompactMeasure.from_points([0.0, 1.0]), True),
+     "cell count must be a positive integer"),
 ], ids=["from-points-empty", "from-points-nan", "atom-without-mass", "piece-as-a-list",
-        "step-values-inf", "step-json-not-a-dict", "tail-unknown-mode", "majorize-not-a-measure"])
+        "step-values-inf", "step-json-not-a-dict", "tail-unknown-mode", "majorize-not-a-measure",
+        "moment-order-true", "quantile-cells-true"])
 def test_invalid_input_is_rejected(call, message):
     with pytest.raises(InvalidInput) as caught:
         call()

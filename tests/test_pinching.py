@@ -376,7 +376,9 @@ class TestBlockedSweep:
     (lambda: align_step_functions(StepFunction([1.0, 0.0]), StepFunction([1.0, 0.0]), -0.1),
      "eps must be positive"),
     (lambda: pinch_experiment(0, 5, 1), "need n >= 1 and trials >= 1"),
-], ids=["align-not-a-step-function", "align-eps-zero", "align-eps-negative", "pinch-n-zero"])
+    (lambda: pinch_experiment(True, True, 0), "n, trials and seed must be integers"),
+], ids=["align-not-a-step-function", "align-eps-zero", "align-eps-negative", "pinch-n-zero",
+        "pinch-n-trials-true"])
 def test_invalid_input_is_rejected(call, message):
     with pytest.raises(InvalidInput) as caught:
         call()

@@ -264,7 +264,11 @@ class TestEigenlistL1Distance:
     (lambda: contraction_diagonal(np.eye(2), [0.5, 0.5, 0.5]),
      "target diagonal longer than the matrix dimension"),
     (lambda: projection_with_diagonal([0.5, 0.5], 0, 2), "rank must be a positive integer"),
-], ids=["realize-n-zero", "contraction-r-above-dim", "projection-rank-zero"])
+    (lambda: realize_finite_rank([1.0], [1.0], True), "truncation size must be a positive integer"),
+    (lambda: projection_with_diagonal([1.0], True, True), "rank must be a positive integer"),
+    (lambda: projection_with_diagonal([1.0], 1, True), "need rank <= n"),
+], ids=["realize-n-zero", "contraction-r-above-dim", "projection-rank-zero", "realize-n-true",
+        "projection-rank-true", "projection-n-true"])
 def test_invalid_input_is_rejected(call, message):
     with pytest.raises(InvalidInput) as caught:
         call()
