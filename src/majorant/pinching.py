@@ -159,22 +159,10 @@ def _draw_family(rng: np.random.Generator) -> tuple:
     return ts, float(a), float(b), rng.uniform(-2.0, 2.0, size=3), rng.uniform(0.0, 2.0, size=3)
 
 
-def default_convex_family(rng: np.random.Generator) -> list[Callable[[float], float]]:
-    """Convex test functions: square, absolute value, exp, three random hinges,
-    and one random element of the cone a + b*x + sum c_k * max(x - r_k, 0)."""
-    ts, a, b, rs, cs = _draw_family(rng)
-    return [
-        lambda x: x * x,
-        abs,
-        math.exp,
-        *(hinge(float(t)) for t in ts),
-        lambda x: a + b * x + sum(c * max(x - r, 0.0) for r, c in zip(rs, cs)),
-    ]
-
-
 def _family_table(params: tuple, points: np.ndarray) -> np.ndarray:
-    """Rows: hinge(0), then default_convex_family's functions in order, on
-    points (..., P); leading trial axes of points and params broadcast."""
+    """Rows on points (..., P): hinge(0), square, absolute value, exp, the
+    hinges at ts, then the cone element, for the parameters ``_draw_family``
+    draws; leading trial axes of points and params broadcast."""
     ts, a, b, rs, cs = (np.asarray(v) for v in params)
     anchors = np.concatenate([np.zeros_like(ts[..., :1]), ts, rs], axis=-1)
     hinged = np.maximum(points[..., None, :] - anchors[..., None], 0.0)
@@ -190,8 +178,8 @@ def pinch_experiment(n: int, trials: int, seed: int) -> dict:
     Draws ``trials`` random self-adjoint n x n matrices and records the
     worst witness of (a) the positive-part inequality E(A)_+ <= E(A_+)
     and (b) the convexity inequality over a per-trial test family.  (a)
-    is (b) for the hinge max(x, 0).  The family is drawn as by
-    ``default_convex_family`` but evaluated on arrays.  Trials run in blocks
+    is (b) for the hinge max(x, 0).  Each trial's family is drawn by
+    ``_draw_family`` and evaluated on arrays.  Trials run in blocks
     of max(1, BLOCK_ENTRIES // n**2) in trial-by-trial draw order; a block
     costs one validation, one stacked eigh, one table and one batched
     product, so memory is bounded whatever ``trials`` is, and reports equal

@@ -18,10 +18,12 @@ import math
 
 import numpy as np
 
+from majorant import hinge
 from majorant._tol import DECISION, scaled
 from majorant.measures import _GL_OFFSET, _locate, integrate_function
 from majorant.pinching import WITNESS_TOL, _draw_family, _family_table, _pinch_witnesses
-from majorant.sampling import random_hermitian
+
+from sampling import random_hermitian
 
 
 def prefix_dominates(upper, lower, tol=1e-12):
@@ -274,6 +276,22 @@ def decreasing_grid_lists(length, grid):
 
     extend([], 0)
     return out
+
+
+def default_convex_family(rng):
+    """Convex test functions as scalar callables: square, absolute value, exp,
+    three random hinges, and one random element of the cone
+    a + b*x + sum c_k * max(x - r_k, 0).  The parameters are drawn by
+    ``_draw_family``, so this is ``_family_table``'s family without its
+    leading hinge(0) row, evaluated one point at a time."""
+    ts, a, b, rs, cs = _draw_family(rng)
+    return [
+        lambda x: x * x,
+        abs,
+        math.exp,
+        *(hinge(float(t)) for t in ts),
+        lambda x: a + b * x + sum(c * max(x - r, 0.0) for r, c in zip(rs, cs)),
+    ]
 
 
 def reference_pinch_experiment(n, trials, seed, record=None):

@@ -31,7 +31,9 @@ from majorant import (
 from majorant.horn import HermitianMatrix, apply_t_transform
 from majorant.measures import StepFunction
 from majorant.pinching import align_step_functions, convex_pinch_check
-from majorant.sampling import (
+
+from oracles import decreasing_grid_lists, op_norm, validate_reduction
+from sampling import (
     haar_unitary,
     random_hermitian,
     random_majorizing_pair,
@@ -39,8 +41,6 @@ from majorant.sampling import (
     random_ordered_pair,
     random_psd,
 )
-
-from oracles import decreasing_grid_lists, op_norm, validate_reduction
 
 METHODS = ("hinge", "survivor", "convex_family")
 

@@ -27,7 +27,8 @@ from majorant import (
     t_transform_chain,
 )
 from majorant.horn import TTransform, as_hermitian, eigh_desc, horn_frame, matrix_to_jsonable
-from majorant.sampling import random_hermitian, random_majorizing_pair
+
+from sampling import random_hermitian, random_majorizing_pair
 
 #: scale 1 and every scale tests/test_tolerance.py rescales data by
 SCALES = sorted({1.0, 1e-12, 1e4, 1e6, *(10.0**k for k in range(-8, 9))})

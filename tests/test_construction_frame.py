@@ -19,9 +19,9 @@ from majorant import (
     projection_with_diagonal,
     realize_finite_rank,
 )
-from majorant.sampling import haar_unitary, random_dominance_pair
 
 from oracles import op_norm
+from sampling import haar_unitary, random_dominance_pair
 
 
 @pytest.fixture

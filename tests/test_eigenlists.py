@@ -14,9 +14,9 @@ from majorant import (
     normalize_list,
     reduce_to_equality,
 )
-from majorant.sampling import random_dominance_pair, random_hermitian, random_majorizing_pair
 
 from oracles import reference_reduce_to_equality, validate_reduction
+from sampling import random_dominance_pair, random_hermitian, random_majorizing_pair
 
 
 class TestNormalize:

@@ -21,10 +21,10 @@ from majorant import (
 )
 from majorant import horn as horn_module
 from majorant.horn import matrix_to_jsonable
-from majorant.sampling import haar_unitary, random_hermitian, random_majorizing_pair
 from majorant.serialize import dumps
 
 from oracles import apply_chain, op_norm, reference_chain, reference_rotate
+from sampling import haar_unitary, random_hermitian, random_majorizing_pair
 
 EPS = np.finfo(float).eps
 

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majorant import TTransform, apply_t_transform, horn_construct, t_transform_chain
-from majorant.sampling import random_hermitian, random_majorizing_pair
 
 from oracles import reference_rotate
+from sampling import random_hermitian, random_majorizing_pair
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 

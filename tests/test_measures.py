@@ -23,13 +23,6 @@ from majorant import (
     quantile_transport,
     tail_integral,
 )
-from majorant.sampling import (
-    concentrate_measure,
-    random_hermitian,
-    random_majorizing_pair,
-    random_measure,
-    random_ordered_pair,
-)
 
 from child_process import run_python
 from oracles import (
@@ -44,6 +37,13 @@ from oracles import (
     reference_majorize_measure,
     reference_survivor_tail,
     top_k_tail_formula,
+)
+from sampling import (
+    concentrate_measure,
+    random_hermitian,
+    random_majorizing_pair,
+    random_measure,
+    random_ordered_pair,
 )
 
 HALF_HALF = CompactMeasure(atoms=((0.0, 0.5), (1.0, 0.5)))

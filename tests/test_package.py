@@ -80,3 +80,38 @@ def test_readme_operations_table_lists_every_public_function():
     table = readme.split("Key operations by module:", 1)[1].split("\n\n")[1]
     listed = set(re.findall(r"`(\w+)`", table))
     assert {name for name in majorant.__all__ if name.islower()} <= listed
+
+
+def test_every_module_level_definition_is_used_by_the_package():
+    """Each module-level def and class of ``src/majorant`` is public, named in
+    the README's operations table, or used by package code outside its own
+    definition; test fixtures and references belong in ``tests/``."""
+    package = Path(majorant.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text()
+    table = readme.split("Key operations by module:", 1)[1].split("\n\n")[1]
+    listed = set(re.findall(r"`(\w+)`", table))
+    defined = []  # (module file, name, defining node)
+    users: dict = {}  # name -> the top-level nodes that use it
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((path.name, node.name, node))
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Name, ast.Attribute)):
+                    name = sub.id if isinstance(sub, ast.Name) else sub.attr
+                    users.setdefault(name, set()).add(node)
+    unused = [
+        f"{module}:{name}"
+        for module, name, node in defined
+        if name not in majorant.__all__
+        and name not in listed
+        and not users.get(name, set()) - {node}
+    ]
+    assert not unused, "defined in src/majorant but used only outside it: " + ", ".join(unused)
+
+
+def test_eigenlist_iterates_over_its_stored_floats_in_order():
+    values = list(majorant.EigenList([3, 1, 1]))
+    assert values == [3.0, 1.0, 1.0]
+    assert all(isinstance(v, float) for v in values)

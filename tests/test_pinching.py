@@ -21,10 +21,10 @@ from majorant import (
 )
 from majorant import pinching
 from majorant.eigenlists import hinge
-from majorant.pinching import _draw_family, _family_table, _pinch_witnesses, default_convex_family
-from majorant.sampling import random_hermitian
+from majorant.pinching import _draw_family, _family_table, _pinch_witnesses
 
-from oracles import reference_pinch_experiment
+from oracles import default_convex_family, reference_pinch_experiment
+from sampling import random_hermitian
 
 FLIP = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 

@@ -29,7 +29,8 @@ from majorant import (
 )
 from majorant.eigenlists import as_eigenlist
 from majorant.horn import TTransform
-from majorant.sampling import (
+
+from sampling import (
     random_dominance_pair,
     random_majorizing_pair,
     random_ordered_pair,

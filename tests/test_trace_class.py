@@ -18,9 +18,9 @@ from majorant import (
     reduce_to_equality,
 )
 from majorant.horn import horn_frame
-from majorant.sampling import random_dominance_pair, random_psd
 
 from oracles import op_norm, trace_norm
+from sampling import random_dominance_pair, random_psd
 
 
 class TestFeasibleDiagonal:
