@@ -31,6 +31,20 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _require_finite(vals: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(vals)):
+        raise InvalidInput("test function is not finite at every point")
+    return vals
+
+
+def _evaluate(f: Callable[[float], float], points: Iterable[float]) -> np.ndarray:
+    """``f`` at each point, in order; a non-finite value or a failing ``f`` is ``InvalidInput``."""
+    try:
+        return _require_finite(np.array([float(f(x)) for x in points], dtype=float))
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidInput(f"test function is not defined at every point: {exc}") from exc
+
+
 def _to_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -224,7 +238,8 @@ def hlp_convex_check(
     f in ``family``; that slack is absolute, since only f knows the units
     of its values.  Requires equal totals (the order is only defined
     then) within max(tol, witness level) times the largest entry;
-    raises ``TraceMismatch`` otherwise.
+    raises ``TraceMismatch`` otherwise.  A test function that fails or
+    is not finite at an entry raises ``InvalidInput``.
     """
     if not 0.0 <= tol < np.inf:
         raise InvalidInput("tol must be finite and nonnegative")
@@ -235,9 +250,8 @@ def hlp_convex_check(
     if not family:
         raise InvalidInput("family of test functions must be nonempty")
     for f in family:
-        fp = sum(float(f(v)) for v in pv)
-        fl = sum(float(f(v)) for v in lv)
-        if fp > fl + tol:
+        # left-to-right sums, as a loop over the entries adds them
+        if sum(_evaluate(f, pv).tolist()) > sum(_evaluate(f, lv).tolist()) + tol:
             return False
     return True
 

@@ -16,21 +16,22 @@ carry row is scaled by c, and the new corner entry c s (x_j - x_i) goes
 into the row of the pivot the step leaves unpinned (c = sqrt(t),
 s = sqrt(1 - t)).  Each off-diagonal entry is so written once, in the
 row of its later-pinned coordinate, and one mirror ``a + a.T`` completes
-the matrix, bitwise symmetric; the diagonal is each coordinate's corner
-value c^2 x_i + s^2 x_j or s^2 x_i + c^2 x_j at its last step.  Every
-operation is elementwise and rounds on its own, so a construction has
-the same bits under every BLAS kernel.  A chain is one value from the
-pivot scan to the matrix: its pivots, its weights, the pivots' values
-before each step and the pivot each step leaves unpinned.  ``_frame``
-and ``apply_t_transform`` rotate by 2 x 2 ``ndarray.dot`` products, with
-blocks built in one vectorized pass over the weights.  The
-product of a chain's rotations is an eigenframe of its construction
-(``horn_frame``); a construction keeps its spectrum and chain, so
-``eigh_desc`` of it takes no eigensolve.  Input is validated once: a unitary
-similarity of a validated matrix, or its diagonal, is self-adjoint by
-construction, so ``HermitianMatrix._adopt`` keeps it read-only and uncopied,
-checked only for finiteness.  Also provides top-k eigenvalue sums (the trace
-maximum over rank-k projections) and alignment of close spectra.
+the matrix, bitwise symmetric.  Each step also writes its corner values
+c^2 x_i + s^2 x_j and s^2 x_i + c^2 x_j into the diagonal, so a
+coordinate keeps the value of its last step.  Every operation is
+elementwise and rounds on its own, so a construction has the same bits
+under every BLAS kernel.  A chain is one value from the pivot scan to
+the matrix, built from one record per step: its pivots, its weight, the
+pivots' values before it and the pivot it leaves unpinned.  ``_frame`` and
+``apply_t_transform`` rotate by 2 x 2 ``ndarray.dot`` products, with
+blocks built in one vectorized pass over the weights.  The product of a
+chain's rotations is an eigenframe of its construction (``horn_frame``); a
+construction keeps its spectrum and chain, so ``eigh_desc`` of it takes no
+eigensolve.  Input is validated once: a unitary similarity of a validated
+matrix, or its diagonal, is self-adjoint by construction, so
+``HermitianMatrix._adopt`` keeps it read-only and uncopied, checked only
+for finiteness.  Also provides top-k eigenvalue sums (the trace maximum
+over rank-k projections) and alignment of close spectra.
 """
 
 from __future__ import annotations
@@ -216,35 +217,32 @@ def _rotation_blocks(t: np.ndarray) -> np.ndarray:
 
 
 class _Chain(NamedTuple):
-    """A mixing chain: pivots i < j, weights t in [0, 1], the pivots' values
-    x_i and x_j before each step, and the pivot each step leaves unpinned
-    (j when it pins both)."""
+    """A mixing chain, one field per column of its step records: pivots i < j, weights
+    t in [0, 1], the pivots' values x_i and x_j before each step, and the pivot each
+    step leaves unpinned (j when it pins both)."""
 
-    i: list[int]
-    j: list[int]
+    i: tuple[int, ...]
+    j: tuple[int, ...]
     t: np.ndarray
     x_i: np.ndarray
     x_j: np.ndarray
-    stay: list[int]
+    stay: tuple[int, ...]
 
 
 def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
     """The mixing chain carrying a checked pair ``le`` onto ``pe``.
 
     The rule of ``t_transform_chain``, with each t clamped into [0, 1]
-    as ``TTransform`` clamps it.  A scan that runs off the end before
-    n - 1 steps must leave x within ``tol`` (scaled to the lists) of p.
+    as ``TTransform`` clamps it.  Each step appends one record, and one
+    transpose of the records gives the chain.  A scan that runs off the
+    end before n - 1 steps must leave x within ``tol`` (scaled to the
+    lists) of p.
     """
     x = le.values.tolist()
     pv = pe.values.tolist()
     n = len(x)
     snap = scaled(ROUND_OFF, le.values)
-    pivots_i: list[int] = []
-    pivots_j: list[int] = []
-    weights: list[float] = []
-    values_i: list[float] = []
-    values_j: list[float] = []
-    stays: list[int] = []
+    steps: list[tuple[int, int, float, float, float, int]] = []
     i = j = 0
     for _ in range(n - 1):
         while i < n and x[i] - pv[i] <= snap:
@@ -263,11 +261,6 @@ def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
         below = pv[j] - xj
         # min(above, below), which keeps the first operand on ties
         delta = below if below < above else above
-        pivots_i.append(i)
-        pivots_j.append(j)
-        weights.append(1.0 - delta / (xi - xj))
-        values_i.append(xi)
-        values_j.append(xj)
         x[i] = xi - delta
         x[j] = xj + delta
         # pin the coordinate that just reached its target (|x - p| <= snap),
@@ -279,12 +272,12 @@ def _mixing_steps(le: EigenList, pe: EigenList, tol: float) -> _Chain:
             stay = i
         if -snap <= x[j] - pv[j] <= snap:
             x[j] = pv[j]
-        stays.append(stay)
-    t = np.array(weights, dtype=float)
+        steps.append((i, j, 1.0 - delta / (xi - xj), xi, xj, stay))
+    pivots_i, pivots_j, t, x_i, x_j, stays = zip(*steps) if steps else [()] * 6
+    t, x_i, x_j = (np.array(v, dtype=float) for v in (t, x_i, x_j))
     if not np.all(t >= -ROUND_OFF):
         raise InvalidInput("mixing weight t must lie in [0, 1]")
-    t = np.minimum(1.0, np.maximum(0.0, t))
-    return _Chain(pivots_i, pivots_j, t, np.array(values_i), np.array(values_j), stays)
+    return _Chain(pivots_i, pivots_j, np.minimum(1.0, np.maximum(0.0, t)), x_i, x_j, stays)
 
 
 def t_transform_chain(lam: ListLike, p: ListLike, tol: float = DECISION) -> list[TTransform]:
@@ -353,20 +346,23 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> Hermiti
     Starts from the diagonal matrix of lam and conjugates along the
     mixing chain; every step is a similarity, so the spectrum never
     moves while the diagonal walks to p.  Each step writes rows only (the
-    module docstring says why that is exact).  Only the input is validated;
-    the finished matrix is adopted.  It keeps ``lam`` and the chain, for
-    ``eigh_desc``.
+    module docstring says why that is exact) and its pivots' diagonal
+    entries.  Only the input is validated; the finished matrix is adopted.
+    It keeps ``lam`` and the chain, for ``eigh_desc``.
     """
     le, pe = _feasible(lam, p, tol)
     chain = _mixing_steps(le, pe, tol)
     n = len(le)
     c = np.sqrt(chain.t)
     s = np.sqrt(1.0 - chain.t)
+    cc, ss, x_i, x_j = c * c, s * s, chain.x_i, chain.x_j
+    # per step: c, s, the corner entry c s (x_j - x_i) and the pivots' corner values
+    values = (v.tolist() for v in (c, s, c * s * (x_j - x_i), cc * x_i + ss * x_j, ss * x_i + cc * x_j))
     a = np.zeros((n, n))
     rows = list(a)
+    d = le.values.tolist()
     carry = -1
-    corners = (c * s * (chain.x_j - chain.x_i)).tolist()
-    for i, j, ck, sk, corner, stay in zip(chain.i, chain.j, c.tolist(), s.tolist(), corners, chain.stay):
+    for i, j, stay, ck, sk, corner, d_i, d_j in zip(chain.i, chain.j, chain.stay, *values):
         # the pivot that is not the carry is fresh: its row is still 0, and so
         # is the carry row past j and on the diagonal
         if carry == j:
@@ -378,20 +374,13 @@ def horn_construct(lam: ListLike, p: ListLike, tol: float = DECISION) -> Hermiti
         carry_row *= ck
         # the corner entry goes into the row of the pivot that stays unpinned
         rows[stay][i + j - stay] = corner
+        # a coordinate's last step writes its final diagonal value
+        d[i], d[j] = d_i, d_j
         carry = stay
     # each off-diagonal entry sits in one of its two rows; adding +0.0 clears
     # the sign of a zero that -s times a zero left on both sides
     a = a + a.T
     a += 0.0
-    d = le.values.copy()
-    cc, ss = c * c, s * s
-    for pivots, value in (
-        (np.array(chain.i, dtype=np.intp), cc * chain.x_i + ss * chain.x_j),
-        (np.array(chain.j, dtype=np.intp), ss * chain.x_i + cc * chain.x_j),
-    ):
-        # pivots only move right and no coordinate is both an i and a j pivot, so
-        # a coordinate's steps are one run of its sorted list: all take the last
-        d[pivots] = value[np.searchsorted(pivots, pivots, side="right") - 1]
     np.fill_diagonal(a, d)
     return HermitianMatrix._adopt(a, (le.values, chain))
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._tol import DECISION, ROUND_OFF
-from .eigenlists import _is_integer, _readonly_copy
+from .eigenlists import _evaluate, _is_integer, _readonly_copy
 from .errors import InvalidInput
 from .horn import MatrixLike, as_hermitian
 
@@ -335,15 +335,17 @@ def integrate_function(m: CompactMeasure, f: Callable[[float], float], kinks: Se
     kink locations and handled with two-point Gauss quadrature per
     subinterval, which is exact whenever f is linear between kinks (in
     particular for every hinge max(x - t, 0) with t listed in ``kinks``).
+    A test function that fails or is not finite at a point raises
+    ``InvalidInput``.  Sums run left to right, in the order of the rows.
     """
-    total = sum(w * float(f(x)) for x, w in m.atoms)
+    total = sum((m._atom_w[:, 0] * _evaluate(f, m._atom_x[:, 0].tolist())).tolist())
     for a, b, w in m.pieces:
         cuts = sorted({a, b, *(float(t) for t in kinks if a < t < b)})
+        cells = [(hi - lo, 0.5 * (lo + hi)) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        nodes = [x for h, mid in cells for x in (mid - h * _GL_OFFSET, mid + h * _GL_OFFSET)]
         acc = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            h = hi - lo
-            mid = 0.5 * (lo + hi)
-            acc += 0.5 * h * (float(f(mid - h * _GL_OFFSET)) + float(f(mid + h * _GL_OFFSET)))
+        for (h, _), (left, right) in zip(cells, _evaluate(f, nodes).reshape(-1, 2).tolist()):
+            acc += 0.5 * h * (left + right)
         total += w * acc / (b - a)
     return float(total)
 

@@ -17,10 +17,10 @@ from typing import Callable
 import numpy as np
 
 from ._tol import ROUND_OFF, WITNESS as WITNESS_TOL, scaled
-from .eigenlists import _is_integer, check_majorization, hinge, normalize_list
+from .eigenlists import _evaluate, _is_integer, _require_finite, check_majorization, hinge, normalize_list
 from .errors import DistributionMismatch, InvalidInput
 from .horn import HermitianMatrix, MatrixLike, _check_self_adjoint, as_hermitian
-from .measures import StepFunction, from_matrix, majorize_measure
+from .measures import CompactMeasure, StepFunction, from_matrix, majorize_measure
 from .sampling import _hermitian_entries
 
 #: matrix entries per block of pinch_experiment trials: 20 trials at n = 20
@@ -41,19 +41,6 @@ def pinch_diag(matrix):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInput("expected a square matrix")
     return np.diag(np.diag(arr))
-
-
-def _require_finite(vals: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(vals)):
-        raise InvalidInput("test function is not finite on the spectral interval")
-    return vals
-
-
-def _evaluate(f: Callable[[float], float], points: np.ndarray) -> np.ndarray:
-    try:
-        return _require_finite(np.array([float(f(x)) for x in points], dtype=float))
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise InvalidInput(f"test function is not defined on the spectral interval: {exc}") from exc
 
 
 def matrix_function(matrix: MatrixLike, f: Callable[[float], float]) -> HermitianMatrix:
@@ -103,10 +90,11 @@ def schur_distribution_check(matrix: MatrixLike) -> bool:
     Always true for self-adjoint input; exposed as a check so the
     statement stays executable.  Equivalent, entry for entry, to the
     classical prefix-sum comparison between the sorted diagonal and the
-    eigenvalue list.
+    eigenvalue list.  The diagonal's distribution is read off the
+    diagonal, so the check takes one eigensolve, of A.
     """
     A = as_hermitian(matrix)
-    return majorize_measure(from_matrix(pinch_diag(A)), from_matrix(A), "hinge")
+    return majorize_measure(CompactMeasure.from_points(A.diagonal()), from_matrix(A), "hinge")
 
 
 def classical_schur_check(matrix: MatrixLike, tol: float = WITNESS_TOL) -> bool:

@@ -261,3 +261,15 @@ def test_invalid_input_is_rejected(call, message):
     with pytest.raises(InvalidInput) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_hlp_convex_check_refuses_a_test_function_that_is_not_finite():
+    # a nan sum compares False against any bound, so without the check the
+    # false pair (2, 0) below (1, 1) would pass every family of such functions
+    with pytest.raises(InvalidInput, match="test function is not finite"):
+        hlp_convex_check([2, 0], [1, 1], [lambda x: float("nan")])
+
+
+def test_hlp_convex_check_refuses_a_test_function_that_fails():
+    with pytest.raises(InvalidInput, match="test function is not defined"):
+        hlp_convex_check([2, 0], [1, 1], [lambda x: 1 / 0])

@@ -1045,3 +1045,37 @@ def test_invalid_input_is_rejected(call, message):
     with pytest.raises(InvalidInput) as caught:
         call()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("m", [CompactMeasure.uniform(0, 1), CompactMeasure.point(0.5)], ids=["piece", "atom"])
+def test_integrate_function_refuses_a_test_function_that_is_not_finite(m):
+    with pytest.raises(InvalidInput, match="test function is not finite"):
+        integrate_function(m, lambda x: float("nan"))
+
+
+@pytest.mark.parametrize("m", [CompactMeasure.uniform(0, 1), CompactMeasure.point(0.5)], ids=["piece", "atom"])
+def test_integrate_function_refuses_a_test_function_that_fails(m):
+    with pytest.raises(InvalidInput, match="test function is not defined"):
+        integrate_function(m, lambda x: 1 / 0)
+
+
+def test_integrate_function_sums_left_to_right():
+    # atoms in row order, then each piece's cells in order: the float sums
+    # of a plain loop, bit for bit
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        m = random_measure(rng)
+        kinks = rng.normal(size=3).tolist()
+        for f in (lambda x: x * x * x, lambda x: max(x - 0.2, 0.0), np.exp):
+            want = 0
+            for x, w in m.atoms:
+                want += w * float(f(x))
+            for a, b, w in m.pieces:
+                cuts = sorted({a, b, *(t for t in kinks if a < t < b)})
+                acc = 0.0
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    h, mid = hi - lo, 0.5 * (lo + hi)
+                    offset = h * (0.5 / np.sqrt(3.0))
+                    acc += 0.5 * h * (float(f(mid - offset)) + float(f(mid + offset)))
+                want += w * acc / (b - a)
+            assert integrate_function(m, f, kinks) == want

@@ -383,3 +383,25 @@ def test_invalid_input_is_rejected(call, message):
     with pytest.raises(InvalidInput) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_schur_distribution_check_takes_one_eigensolve(monkeypatch):
+    # the diagonal's distribution is read off the diagonal; only A's spectrum is solved for
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = np.random.default_rng(53)
+    matrices = [FLIP, np.diag([1.0, 2.0, 3.0]), np.eye(4), [[2.0]]]
+    for _ in range(60):
+        a = random_hermitian(rng, int(rng.integers(1, 25)))
+        matrices += [a, a.entries.real]
+    for a in matrices:
+        calls.clear()
+        verdict = schur_distribution_check(a)
+        assert len(calls) == 1
+        assert verdict == classical_schur_check(a)
